@@ -29,6 +29,9 @@ cargo build --release --workspace
 # always enables it), so the observability layer is exercised end to end —
 # including tests/paper_claims.rs and tests/protocol_differential.rs.
 cargo test --workspace -q
+# The recorder's application threads, barrier, lock table and race check
+# at the optimisation level every experiment binary and benchmark uses.
+cargo test --release -q -p dirtree-workloads
 # Feature-off path: without dirtree-bench in the graph the metrics sink
 # must compile to a zero-sized no-op (pinned by `zero_sized_when_disabled`
 # and `metrics_are_empty_when_trace_feature_is_off`).
@@ -57,7 +60,7 @@ echo "perf-smoke: records match tests/golden/scale_up_p64.jsonl"
 # while the cmp above proves the default path never moved.
 cmp target/perf_smoke/scale_up_vc.jsonl tests/golden/scale_up_p64_vc.jsonl
 echo "perf-smoke: records match tests/golden/scale_up_p64_vc.jsonl"
-# And the credit-bounded VC grid (vc_credits = 8): injection
+# And the credit-bounded VC grid (vc_credits = 64 flits): injection
 # backpressure is part of the timing here, so this golden pins the
 # credit accounting end to end.
 cmp target/perf_smoke/scale_up_vc_credited.jsonl \

@@ -2,17 +2,27 @@
 
 use dirtree_core::protocol::ProtocolKind;
 use dirtree_machine::{Machine, MachineConfig, RunOutcome};
-use dirtree_workloads::WorkloadKind;
+use dirtree_workloads::{record_ops, OpTrace, ReplayDriver, WorkloadKind};
+use std::sync::Arc;
 
-/// Run one workload on one protocol at one machine size.
+/// Record `workload` at `nodes` processors (see [`dirtree_workloads::trace`]).
+pub fn record(workload: WorkloadKind, nodes: u32) -> Arc<OpTrace> {
+    Arc::new(record_ops(&mut workload.build(nodes)))
+}
+
+/// Replay a recorded trace on one protocol.
+pub fn replay(config: &MachineConfig, protocol: ProtocolKind, trace: &Arc<OpTrace>) -> RunOutcome {
+    Machine::new(*config, protocol).run(&mut ReplayDriver::new(trace.clone()))
+}
+
+/// Run one workload on one protocol at one machine size: record, then
+/// replay.
 pub fn run_workload(
     config: &MachineConfig,
     protocol: ProtocolKind,
     workload: WorkloadKind,
 ) -> RunOutcome {
-    let mut machine = Machine::new(*config, protocol);
-    let mut driver = workload.build(config.nodes);
-    machine.run(&mut driver)
+    replay(config, protocol, &record(workload, config.nodes))
 }
 
 /// One cell of a Figures 8–11 grid.
@@ -38,13 +48,15 @@ pub fn figure_grid(
     let mut cells = Vec::new();
     for &nodes in node_counts {
         let config = configure(nodes);
-        let baseline = run_workload(&config, ProtocolKind::FullMap, workload);
+        // One recording per node count serves every protocol.
+        let trace = record(workload, config.nodes);
+        let baseline = replay(&config, ProtocolKind::FullMap, &trace);
         let base_cycles = baseline.cycles.max(1);
         for &protocol in protocols {
             let outcome = if protocol == ProtocolKind::FullMap {
                 baseline.clone()
             } else {
-                run_workload(&config, protocol, workload)
+                replay(&config, protocol, &trace)
             };
             cells.push(GridCell {
                 protocol,

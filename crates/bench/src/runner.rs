@@ -305,8 +305,8 @@ fn run_config(config: &SweepConfig, trace: bool) -> Result<(RunRecord, Option<St
 
 /// Process-wide operation-trace cache: one recording per
 /// `(workload, nodes)` pair, shared by every protocol config and every
-/// spec the process runs. The recording (thread-rendezvous) cost is paid
-/// once; all simulations replay it with zero context switches — see
+/// spec the process runs. The recording cost is paid once; all
+/// simulations replay it without spawning a thread — see
 /// `dirtree_workloads::trace` for why the streams are config-independent.
 /// The per-key `OnceLock` lets distinct workloads record concurrently
 /// under `--jobs` while duplicate requests block on the first recorder;

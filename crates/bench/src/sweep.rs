@@ -997,7 +997,7 @@ mod tests {
         let config = sample_config();
         let mut machine = Machine::new(config.machine, config.protocol);
         let mut driver = config.effective_workload().build(config.machine.nodes);
-        let outcome = machine.run(&mut driver);
+        let outcome = dirtree_workloads::record_and_run(&mut machine, &mut driver);
         let record = RunRecord::from_outcome(&config, &outcome);
         let line = record.to_json();
         let parsed = RunRecord::from_json(&line).expect("parse");
@@ -1050,7 +1050,7 @@ mod tests {
         config.machine.net.adaptive = true;
         let mut machine = Machine::new(config.machine, config.protocol);
         let mut driver = config.effective_workload().build(config.machine.nodes);
-        let outcome = machine.run(&mut driver);
+        let outcome = dirtree_workloads::record_and_run(&mut machine, &mut driver);
         let record = RunRecord::from_outcome(&config, &outcome);
         assert_eq!(record.net_vcs, 3);
         assert_eq!(record.net_vc_wait_cycles.len(), 3);
@@ -1077,7 +1077,7 @@ mod tests {
         let config = sample_config();
         let mut machine = Machine::new(config.machine, config.protocol);
         let mut driver = config.effective_workload().build(config.machine.nodes);
-        let outcome = machine.run(&mut driver);
+        let outcome = dirtree_workloads::record_and_run(&mut machine, &mut driver);
         let record = RunRecord::from_outcome(&config, &outcome);
         let line = record.to_json();
         // Single-channel records keep the exact legacy shape: the

@@ -8,8 +8,9 @@
 //!
 //! Workloads drive the machine through the [`Driver`] trait: the machine
 //! asks the driver for the next operation of a processor whenever that
-//! processor becomes ready. `dirtree-workloads` implements an
-//! execution-driven driver on top of rendezvous threads; [`ScriptDriver`]
+//! processor becomes ready. `dirtree-workloads` records application
+//! threads into per-node op streams and replays them through its
+//! `ReplayDriver`; [`ScriptDriver`]
 //! provides scripted per-node operation lists for tests and
 //! microbenchmarks.
 //!

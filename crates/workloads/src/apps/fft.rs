@@ -126,7 +126,7 @@ impl Fft {
         4 * self.points
     }
 
-    /// Build the execution-driven workload (block-distributed outputs).
+    /// Build the parallel program (block-distributed outputs).
     pub fn build(&self, nprocs: u32) -> ThreadedWorkload {
         assert!(self.points.is_power_of_two());
         assert!(self.points >= nprocs as u64 * 2);
@@ -188,6 +188,7 @@ impl Fft {
 mod tests {
     use super::*;
     use crate::layout::w2f;
+    use crate::trace::record_and_run;
     use dirtree_core::protocol::ProtocolKind;
     use dirtree_machine::{Machine, MachineConfig};
 
@@ -214,7 +215,7 @@ mod tests {
         let f = Fft { points };
         let mut w = f.build(nodes);
         let mut m = Machine::new(MachineConfig::test_default(nodes), kind);
-        m.run(&mut w);
+        record_and_run(&mut m, &mut w);
         let buf = f.result_buffer() as u64;
         (0..points)
             .map(|i| {

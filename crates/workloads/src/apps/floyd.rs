@@ -73,7 +73,7 @@ impl Floyd {
         self.vertices * self.vertices
     }
 
-    /// Build the execution-driven workload for `nprocs` processors.
+    /// Build the parallel program for `nprocs` processors.
     pub fn build(&self, nprocs: u32) -> ThreadedWorkload {
         let params = *self;
         let graph = std::sync::Arc::new(self.graph());
@@ -123,13 +123,14 @@ impl Floyd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::record_and_run;
     use dirtree_core::protocol::ProtocolKind;
     use dirtree_machine::{Machine, MachineConfig};
 
     fn run(params: Floyd, nodes: u32, kind: ProtocolKind) -> Vec<u64> {
         let mut w = params.build(nodes);
         let mut m = Machine::new(MachineConfig::test_default(nodes), kind);
-        m.run(&mut w);
+        record_and_run(&mut m, &mut w);
         w.values().to_vec()
     }
 

@@ -122,13 +122,14 @@ impl Jacobi {
 mod tests {
     use super::*;
     use crate::layout::w2f;
+    use crate::trace::record_and_run;
     use dirtree_core::protocol::ProtocolKind;
     use dirtree_machine::{Machine, MachineConfig};
 
     fn run(params: Jacobi, nodes: u32, kind: ProtocolKind) -> Vec<f64> {
         let mut w = params.build(nodes);
         let mut m = Machine::new(MachineConfig::test_default(nodes), kind);
-        m.run(&mut w);
+        record_and_run(&mut m, &mut w);
         let g = params.grid;
         let base = params.result_buffer() * g * g;
         (0..g * g).map(|i| w2f(w.value_at(base + i))).collect()
@@ -203,7 +204,7 @@ mod tests {
             MachineConfig::test_default(4),
             ProtocolKind::LimitedNB { pointers: 2 },
         );
-        let out = m.run(&mut w);
+        let out = record_and_run(&mut m, &mut w);
         // With <= 2 sharers per block, Dir2NB never evicts pointers.
         assert_eq!(out.stats.replacement_invalidations, 0);
     }

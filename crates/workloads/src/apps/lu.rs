@@ -60,7 +60,7 @@ impl Lu {
         self.n * self.n
     }
 
-    /// Build the execution-driven workload (column-interleaved ownership).
+    /// Build the parallel program (column-interleaved ownership).
     pub fn build(&self, nprocs: u32) -> ThreadedWorkload {
         let params = *self;
         let mut alloc = Alloc::new();
@@ -119,13 +119,14 @@ impl Lu {
 mod tests {
     use super::*;
     use crate::layout::w2f;
+    use crate::trace::record_and_run;
     use dirtree_core::protocol::ProtocolKind;
     use dirtree_machine::{Machine, MachineConfig};
 
     fn run(params: Lu, nodes: u32, kind: ProtocolKind) -> Vec<f64> {
         let mut w = params.build(nodes);
         let mut m = Machine::new(MachineConfig::test_default(nodes), kind);
-        m.run(&mut w);
+        record_and_run(&mut m, &mut w);
         w.values().iter().map(|&v| w2f(v)).collect()
     }
 

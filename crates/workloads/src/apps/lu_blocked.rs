@@ -195,13 +195,14 @@ impl LuBlocked {
 mod tests {
     use super::*;
     use crate::layout::w2f;
+    use crate::trace::record_and_run;
     use dirtree_core::protocol::ProtocolKind;
     use dirtree_machine::{Machine, MachineConfig};
 
     fn run(params: LuBlocked, nodes: u32, kind: ProtocolKind) -> Vec<f64> {
         let mut w = params.build(nodes);
         let mut m = Machine::new(MachineConfig::test_default(nodes), kind);
-        m.run(&mut w);
+        record_and_run(&mut m, &mut w);
         w.values().iter().map(|&v| w2f(v)).collect()
     }
 

@@ -1,11 +1,11 @@
 //! The paper's four applications plus synthetic microbenchmarks.
 //!
 //! Each application module provides a parameter struct with:
-//! * `build(nprocs) -> ThreadedWorkload` — the execution-driven parallel
-//!   program,
+//! * `build(nprocs) -> ThreadedWorkload` — the parallel program, one
+//!   closure per processor,
 //! * a sequential reference used by tests to validate the parallel result,
-//! * unit tests running the app on small configurations under several
-//!   protocols with coherence verification enabled.
+//! * unit tests recording the app and replaying it on small configurations
+//!   under several protocols with coherence verification enabled.
 
 pub mod fft;
 pub mod floyd;

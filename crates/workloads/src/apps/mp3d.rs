@@ -126,7 +126,7 @@ impl Mp3d {
         w as i64
     }
 
-    /// Build the execution-driven workload (particles block-partitioned).
+    /// Build the parallel program (particles block-partitioned).
     pub fn build(&self, nprocs: u32) -> ThreadedWorkload {
         let params = *self;
         let mut alloc = Alloc::new();
@@ -202,6 +202,7 @@ impl Mp3d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::record_and_run;
     use dirtree_core::protocol::ProtocolKind;
     use dirtree_machine::{Machine, MachineConfig};
 
@@ -217,7 +218,7 @@ mod tests {
     fn run(params: Mp3d, nodes: u32, kind: ProtocolKind) -> Vec<Particle> {
         let mut w = params.build(nodes);
         let mut m = Machine::new(MachineConfig::test_default(nodes), kind);
-        m.run(&mut w);
+        record_and_run(&mut m, &mut w);
         (0..params.particles)
             .map(|id| {
                 let b = params.particle_base(id);

@@ -190,6 +190,7 @@ impl FalseShare {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::record_and_run;
     use dirtree_core::protocol::ProtocolKind;
     use dirtree_machine::{Machine, MachineConfig, RunOutcome};
 
@@ -200,7 +201,7 @@ mod tests {
     ) -> RunOutcome {
         let mut w = build(nodes);
         let mut m = Machine::new(MachineConfig::test_default(nodes), kind);
-        m.run(&mut w)
+        record_and_run(&mut m, &mut w)
     }
 
     const KINDS: [ProtocolKind; 3] = [
@@ -237,7 +238,7 @@ mod tests {
         for kind in KINDS {
             let mut w = TokenRing { tokens: 3, laps: 2 }.build(4);
             let mut m = Machine::new(MachineConfig::test_default(4), kind);
-            m.run(&mut w);
+            record_and_run(&mut m, &mut w);
             for t in 0..3 {
                 assert_eq!(w.value_at(t), 2 * 4, "{kind:?}: token {t} lost a hop");
             }

@@ -121,7 +121,7 @@ impl WorkloadKind {
         }
     }
 
-    /// Build the execution-driven workload for `nprocs` processors.
+    /// Build the parallel program for `nprocs` processors.
     pub fn build(&self, nprocs: u32) -> ThreadedWorkload {
         match *self {
             WorkloadKind::Mp3d { particles, steps } => Mp3d {
@@ -171,6 +171,7 @@ impl WorkloadKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::record_and_run;
     use dirtree_core::protocol::ProtocolKind;
     use dirtree_machine::{Machine, MachineConfig};
 
@@ -220,7 +221,7 @@ mod tests {
                     arity: 2,
                 },
             );
-            let out = m.run(&mut w);
+            let out = record_and_run(&mut m, &mut w);
             assert!(out.stats.total_ops() > 0, "{} did nothing", tiny.name());
         }
     }

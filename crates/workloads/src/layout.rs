@@ -48,9 +48,11 @@ pub struct SharedArray {
 }
 
 impl SharedArray {
+    /// Address of element `i`. Checked in every build: an unchecked index
+    /// past the end would silently alias the next array's words.
     #[inline]
     pub fn at(&self, i: u64) -> Addr {
-        debug_assert!(i < self.len, "index {i} out of bounds ({})", self.len);
+        assert!(i < self.len, "index {i} out of bounds ({})", self.len);
         self.base + i
     }
 }
@@ -65,7 +67,7 @@ pub struct SharedMatrix {
 impl SharedMatrix {
     #[inline]
     pub fn at(&self, r: u64, c: u64) -> Addr {
-        debug_assert!(c < self.cols);
+        assert!(c < self.cols, "column {c} out of bounds ({})", self.cols);
         self.data.at(r * self.cols + c)
     }
 
@@ -115,10 +117,18 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn array_bounds_checked_in_debug() {
+    fn array_bounds_checked_in_every_build() {
         let mut a = Alloc::new();
         let x = a.array(3);
         let _ = x.at(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "column 4 out of bounds")]
+    fn matrix_columns_are_bounds_checked() {
+        let mut a = Alloc::new();
+        let m = a.matrix(3, 4);
+        let _ = m.at(0, 4);
     }
 
     #[test]

@@ -1,23 +1,25 @@
-//! # dirtree-workloads — execution-driven applications
+//! # dirtree-workloads — application workloads, recorded and replayed
 //!
 //! The paper evaluates coherence protocols by running four applications on
-//! the Proteus execution-driven simulator. This crate reproduces that
-//! methodology: the *real algorithms* (LU decomposition, FFT,
+//! the Proteus execution-driven simulator. This crate keeps that
+//! methodology's inputs: the *real algorithms* (LU decomposition, FFT,
 //! Floyd-Warshall, an MP3D-style particle-in-cell code) run as Rust
-//! closures on OS threads that rendezvous with the simulated machine at
-//! every shared memory reference, barrier, and lock. The interleaving of
-//! references therefore depends on simulated protocol latencies; the
-//! bundled apps are data-race-free with interleaving-independent op
-//! streams, which [`trace`] exploits to record each stream once and
-//! replay it across protocol configs without the thread rendezvous.
+//! closures on OS threads, one per simulated processor, and compute real
+//! results through a shared word array. There is one way to run them:
+//! record each node's stream of shared references, barriers and locks
+//! once, with the threads running freely, then replay the streams on the
+//! simulated machine for every protocol. Replay is valid because every
+//! bundled app is data-race-free, which the recorder checks on every run
+//! ([`trace`] module docs).
 //!
-//! * [`rendezvous`] — the thread/channel machinery implementing
-//!   [`dirtree_machine::Driver`];
-//! * [`trace`] — record-once / replay-many op traces for sweeps;
+//! * [`rendezvous`] — the application-side API ([`Env`]) and the threads,
+//!   barrier, lock table and data-race check behind it;
+//! * [`trace`] — [`record_ops`] and the replaying [`ReplayDriver`];
 //! * [`layout`] — a bump allocator + typed views over the shared address
 //!   space;
 //! * [`apps`] — the four paper applications plus synthetic
 //!   microbenchmarks;
+//! * [`phases`] — seeded phase-structured random traces;
 //! * [`WorkloadKind`] — a uniform constructor used by the experiment
 //!   harness.
 
@@ -31,4 +33,4 @@ pub mod trace;
 pub use kind::WorkloadKind;
 pub use layout::{Alloc, SharedArray};
 pub use rendezvous::{Env, ThreadedWorkload};
-pub use trace::{record_ops, OpTrace, ReplayDriver};
+pub use trace::{record_and_run, record_ops, OpTrace, ReplayDriver};

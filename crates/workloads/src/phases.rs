@@ -5,8 +5,10 @@
 //! each block, a barrier orders the phase, then every processor reads a
 //! private random subset of blocks and folds the loaded values into a
 //! running checksum, published to a per-processor checksum word at the
-//! end. The checksums are the *per-processor read values* — any protocol
-//! that ever serves one stale load diverges from the full-map oracle.
+//! end. The trace is data-race-free, so the recorder's checksums are
+//! protocol-independent by construction; a protocol that serves a stale
+//! load is caught by the coherence witness when it replays the trace, not
+//! by a checksum.
 //!
 //! The generator lives here (rather than inline in the test) so the
 //! integration tests, the model-checker harnesses, and future fuzz drivers
@@ -80,6 +82,7 @@ impl PhasedTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::record_and_run;
     use dirtree_core::protocol::ProtocolKind;
     use dirtree_machine::{Machine, MachineConfig};
 
@@ -95,7 +98,7 @@ mod tests {
         let run = || {
             let mut w = t.build();
             let mut m = Machine::new(MachineConfig::test_default(t.nodes), ProtocolKind::FullMap);
-            m.run(&mut w);
+            record_and_run(&mut m, &mut w);
             w.values().to_vec()
         };
         let a = run();
@@ -123,8 +126,7 @@ mod tests {
         };
         let run = |t: PhasedTrace| {
             let mut w = t.build();
-            let mut m = Machine::new(MachineConfig::test_default(t.nodes), ProtocolKind::FullMap);
-            m.run(&mut w);
+            crate::record_ops(&mut w);
             w.values().to_vec()
         };
         assert_ne!(run(mk(1)), run(mk(2)), "checksums must depend on the seed");

@@ -1,120 +1,80 @@
-//! Record-once / replay-many operation traces.
+//! Record once, replay many: the one way to run a workload.
 //!
-//! The execution-driven rendezvous ([`ThreadedWorkload`]) pays two OS
-//! context switches per operation — on a sweep that runs the *same*
-//! application under nine protocols, that thread ping-pong dominates
-//! wall-clock while contributing nothing after the first run. This module
-//! exploits a structural property of the bundled applications: a
-//! [`DriverOp`] carries addresses and sync ids but never data values, and
-//! every app's control flow and addressing depend only on values ordered
-//! by barriers (data-race-free), never on lock-grant order — MP3D's
-//! lock-protected occupancy increment is commutative and the value it
-//! reads back feeds no branch or address. Each node's operation stream is
-//! therefore independent of the machine's interleaving, so a stream
-//! recorded once under *any* correct schedule drives every protocol
-//! config to a bit-identical simulation.
+//! [`record_ops`] runs a workload's application threads freely, with no
+//! machine and no simulated timing, and returns each node's [`DriverOp`]
+//! stream; [`ReplayDriver`] feeds the streams to a [`Machine`], which adds
+//! the timing. A sweep records a `(workload, nodes)` pair once and replays
+//! it under every protocol config.
 //!
-//! [`record_ops`] drains a workload through a deterministic round-robin
-//! scheduler (no machine, no simulated timing) and returns the per-node
-//! streams; [`ReplayDriver`] feeds them back with zero context switches.
-//! The `replay_matches_execution_driven` tests below pin the equivalence
-//! for every application family, including the lock-heavy MP3D.
+//! # Why a free-running recording is valid
+//!
+//! A [`DriverOp`] carries addresses and sync ids, never data values. A
+//! node's stream therefore depends on the host schedule only through the
+//! values its loads return. In a data-race-free program every load returns
+//! the value of the one store that barriers or a lock order before it, so
+//! the streams are the same under every schedule: the recorder's, any
+//! other run's, and every simulated machine's. A stream recorded once
+//! drives every protocol config to the same simulation as running the
+//! application against that machine would.
+//!
+//! Data-race freedom is checked on every recording, not assumed. Two
+//! accesses to one word in the same barrier epoch from different nodes,
+//! at least one a write, are a race unless every access to that word in
+//! the epoch held one common lock; the recording then panics with
+//! "data race during trace recording", naming the word, both nodes and
+//! the epoch. Both accesses mark a per-word shadow summary, so the check
+//! fires whichever runs first (`rendezvous::shadow`).
+//! References made with `Env::touch_read`/`Env::touch_write` move no
+//! value, so they cannot carry a race into a stream and are not checked.
+//! Recording twice and comparing the streams would be a weaker check: on
+//! one CPU the two recordings can follow the same schedule and agree
+//! despite a race. The shadow check sees a race under any schedule.
+//!
+//! # What the check cannot see
+//!
+//! Lock-protected accesses are exempt, and a lock is granted in host
+//! schedule order. A value read under a lock is therefore schedule
+//! dependent. The bundled applications use that value only
+//! commutatively: MP3D increments a cell counter under the cell's lock
+//! and never branches on or addresses by the value it reads. An
+//! application that fed a lock-protected value into an address or a
+//! branch would record streams that depend on grant order, and no check
+//! here would notice. The same holds for any input outside the shared
+//! words, such as a thread-local random number generator seeded by time.
+//!
+//! The `op_stream_digests` integration test pins every bundled workload's
+//! streams to digests first taken from the execution-driven recorder this
+//! one replaced.
 
 use crate::rendezvous::ThreadedWorkload;
 use dirtree_core::types::NodeId;
-use dirtree_machine::{Driver, DriverOp};
+use dirtree_machine::{Driver, DriverOp, Machine, RunOutcome};
 use dirtree_sim::Cycle;
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Per-node operation streams recorded from one workload run.
 pub type OpTrace = Vec<Vec<DriverOp>>;
 
-/// Run `w`'s application threads to completion under a deterministic
-/// round-robin scheduler, recording each node's operation stream.
+/// Run `w`'s application threads to completion and return each node's
+/// operation stream; `w.values()` then holds the final shared memory.
 ///
-/// Sync semantics mirror the machine's: barriers release when every
-/// node has arrived, locks grant FIFO. The schedule differs from any
-/// simulated one, but per-node streams do not (see module docs), and the
-/// round-robin is fixed, so the returned trace is a pure function of the
-/// workload — safe to share across protocol configs and `--jobs` levels.
+/// The trace is a pure function of the workload (module docs), so it is
+/// safe to share across protocol configs and `--jobs` levels. Panics if
+/// an application thread panics (with that thread's payload), on a data
+/// race, on a sync deadlock, or if `w` was already recorded.
 pub fn record_ops(w: &mut ThreadedWorkload) -> OpTrace {
-    #[derive(Clone, Copy, PartialEq)]
-    enum St {
-        Run,
-        AtBarrier,
-        WaitLock,
-        Done,
-    }
-    let n = w.nprocs();
-    let mut st = vec![St::Run; n];
-    let mut ops: OpTrace = vec![Vec::new(); n];
-    // Lock id → (owner, FIFO waiters); matches the machine's grant order.
-    let mut locks: HashMap<u32, (Option<usize>, VecDeque<usize>)> = HashMap::new();
-    let (mut at_barrier, mut done) = (0usize, 0usize);
-    while done < n {
-        let mut progressed = false;
-        for i in 0..n {
-            while st[i] == St::Run {
-                progressed = true;
-                let op = w.next_op(i as NodeId, 0);
-                if op != DriverOp::Done {
-                    ops[i].push(op);
-                }
-                match op {
-                    DriverOp::Read(_) | DriverOp::Write(_) | DriverOp::Work(_) => {}
-                    DriverOp::Barrier(_) => {
-                        st[i] = St::AtBarrier;
-                        at_barrier += 1;
-                    }
-                    DriverOp::Lock(id) => {
-                        let l = locks.entry(id).or_default();
-                        if l.0.is_none() {
-                            l.0 = Some(i);
-                        } else {
-                            l.1.push_back(i);
-                            st[i] = St::WaitLock;
-                        }
-                    }
-                    DriverOp::Unlock(id) => {
-                        let l = locks.get_mut(&id).expect("unlock of unknown lock");
-                        debug_assert_eq!(l.0, Some(i), "unlock by non-owner");
-                        l.0 = l.1.pop_front();
-                        if let Some(next) = l.0 {
-                            st[next] = St::Run;
-                        }
-                    }
-                    DriverOp::Done => {
-                        st[i] = St::Done;
-                        done += 1;
-                    }
-                }
-            }
-        }
-        // A barrier releases only when every node has arrived (the
-        // machine's rule: finished processors never satisfy a barrier).
-        if at_barrier > 0 && at_barrier == n - done {
-            at_barrier = 0;
-            for s in st.iter_mut() {
-                if *s == St::AtBarrier {
-                    *s = St::Run;
-                }
-            }
-            progressed = true;
-        }
-        assert!(
-            progressed || done == n,
-            "workload deadlocked during trace recording \
-             ({done}/{n} done, {at_barrier} at barrier)"
-        );
-    }
-    ops
+    w.record()
+}
+
+/// Record `w` and replay it on `machine`.
+pub fn record_and_run(machine: &mut Machine, w: &mut ThreadedWorkload) -> RunOutcome {
+    let trace = Arc::new(record_ops(w));
+    machine.run(&mut ReplayDriver::new(trace))
 }
 
 /// Replays a recorded [`OpTrace`]. The trace is behind an `Arc` so a
 /// sweep replays one recording across many protocol configs without
-/// cloning megabytes of ops per simulation — and without spawning a
-/// single application thread.
+/// cloning megabytes of ops per simulation.
 pub struct ReplayDriver {
     trace: Arc<OpTrace>,
     pos: Vec<usize>,
@@ -146,34 +106,12 @@ impl Driver for ReplayDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phases::PhasedTrace;
     use crate::WorkloadKind;
-    use dirtree_core::protocol::ProtocolKind;
-    use dirtree_machine::{Machine, MachineConfig, RunOutcome};
 
-    fn run_threaded(kind: WorkloadKind, nodes: u32, proto: ProtocolKind) -> RunOutcome {
-        let mut w = kind.build(nodes);
-        let mut m = Machine::new(MachineConfig::test_default(nodes), proto);
-        m.run(&mut w)
-    }
-
-    fn run_replayed(kind: WorkloadKind, nodes: u32, proto: ProtocolKind) -> RunOutcome {
-        let trace = {
-            let mut w = kind.build(nodes);
-            Arc::new(record_ops(&mut w))
-        };
-        let mut d = ReplayDriver::new(trace);
-        let mut m = Machine::new(MachineConfig::test_default(nodes), proto);
-        m.run(&mut d)
-    }
-
-    /// The load-bearing property: a replayed trace produces the same
-    /// simulation — cycles, stats, histograms, network counters — as the
-    /// live application threads, for every application family.
-    #[test]
-    fn replay_matches_execution_driven() {
-        let cases = [
-            // Lock-heavy, migratory sharing: exercises the recorder's
-            // FIFO lock grant against the machine's.
+    /// One small instance of every workload variant.
+    fn every_kind() -> Vec<WorkloadKind> {
+        vec![
             WorkloadKind::Mp3d {
                 particles: 60,
                 steps: 3,
@@ -201,30 +139,45 @@ mod tests {
                 words: 96,
                 passes: 2,
             },
-        ];
-        for kind in cases {
-            for proto in [
-                ProtocolKind::FullMap,
-                ProtocolKind::DirTree {
-                    pointers: 2,
-                    arity: 2,
-                },
-                ProtocolKind::LimitedNB { pointers: 1 },
-            ] {
-                let live = run_threaded(kind, 4, proto);
-                let replay = run_replayed(kind, 4, proto);
-                assert_eq!(
-                    format!("{live:?}"),
-                    format!("{replay:?}"),
-                    "{} under {proto:?}: replay diverged from execution-driven",
-                    kind.name()
-                );
+            WorkloadKind::PcPipeline {
+                buffers: 8,
+                rounds: 6,
+            },
+            WorkloadKind::TokenRing { tokens: 3, laps: 2 },
+            WorkloadKind::Broadcast {
+                blocks: 6,
+                rounds: 4,
+                scans: 3,
+            },
+            WorkloadKind::FalseShare {
+                blocks: 6,
+                rounds: 12,
+            },
+        ]
+    }
+
+    /// Every bundled workload passes the data-race check at two machine
+    /// sizes (a race panics inside `record_ops`).
+    #[test]
+    fn every_workload_records_race_free() {
+        for nodes in [4, 16] {
+            for kind in every_kind() {
+                let trace = record_ops(&mut kind.build(nodes));
+                assert_eq!(trace.len(), nodes as usize, "{}", kind.name());
             }
+            let phased = PhasedTrace {
+                nodes,
+                blocks: 24,
+                phases: 4,
+                reads_per_phase: 12,
+                seed: 1996,
+            };
+            record_ops(&mut phased.build());
         }
     }
 
     /// Recording is a pure function of the workload: two recordings of
-    /// the same app are identical op-for-op.
+    /// the same app are identical op-for-op, whatever the host schedule.
     #[test]
     fn recording_is_deterministic() {
         let kind = WorkloadKind::Mp3d {
@@ -236,40 +189,43 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The recorder's lock queue must not starve or deadlock when every
-    /// node hammers one lock.
-    #[test]
-    fn contended_lock_records_and_replays() {
-        let kind = WorkloadKind::Migratory {
-            blocks: 1,
-            rounds: 8,
-        };
-        let trace = record_ops(&mut kind.build(8));
-        let locks = trace
-            .iter()
-            .flatten()
-            .filter(|op| matches!(op, DriverOp::Lock(_)))
-            .count();
-        assert!(locks > 0 || trace.iter().flatten().count() > 0);
-        let live = run_threaded(kind, 8, ProtocolKind::FullMap);
-        let replay = run_replayed(kind, 8, ProtocolKind::FullMap);
-        assert_eq!(format!("{live:?}"), format!("{replay:?}"));
-    }
-
-    /// A node finishing while others still run must not wedge the
-    /// recorder (sparse work distributions at large P).
+    /// A node finishing while others still run is excused from later
+    /// barriers (sparse work distributions at large P).
     #[test]
     fn early_finishers_do_not_block_recording() {
         // 10 vertices on 16 nodes: nodes 10..15 own no rows and issue
-        // only barriers; every node still arrives at every barrier.
-        let kind = WorkloadKind::Floyd {
-            vertices: 10,
-            seed: 7,
-        };
-        let trace = record_ops(&mut kind.build(16));
+        // only barriers.
+        let trace = record_ops(
+            &mut WorkloadKind::Floyd {
+                vertices: 10,
+                seed: 7,
+            }
+            .build(16),
+        );
         assert_eq!(trace.len(), 16);
-        let live = run_threaded(kind, 16, ProtocolKind::FullMap);
-        let replay = run_replayed(kind, 16, ProtocolKind::FullMap);
-        assert_eq!(format!("{live:?}"), format!("{replay:?}"));
+        let mut w = ThreadedWorkload::new(3, 1, |tid| {
+            Box::new(move |env| {
+                for _ in 0..tid {
+                    env.barrier();
+                }
+            })
+        });
+        let trace = record_ops(&mut w);
+        let seqs: Vec<Vec<DriverOp>> = (0..3)
+            .map(|n| (0..n).map(DriverOp::Barrier).collect())
+            .collect();
+        assert_eq!(trace, seqs, "barrier numbering is per node");
+    }
+
+    #[test]
+    #[should_panic(expected = "already recorded")]
+    fn a_workload_records_once() {
+        let mut w = WorkloadKind::Sharing {
+            blocks: 2,
+            rounds: 1,
+        }
+        .build(2);
+        record_ops(&mut w);
+        record_ops(&mut w);
     }
 }

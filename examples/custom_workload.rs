@@ -1,12 +1,17 @@
-//! Write your own execution-driven workload against the public API: a
-//! simple parallel histogram with locks, run under two protocols.
+//! Write your own workload against the public API: a simple parallel
+//! histogram with locks. Its threads run once, in the recorder, which
+//! checks that the program is data-race-free; the recorded op streams are
+//! then replayed under two protocols.
 //!
 //! Run: `cargo run --example custom_workload`
 
-use dirtree::machine::{Machine, MachineConfig};
+use dirtree::analysis::experiments::replay;
+use dirtree::machine::MachineConfig;
 use dirtree::prelude::*;
 use dirtree::workloads::layout::Alloc;
+use dirtree::workloads::record_ops;
 use dirtree::workloads::rendezvous::{AppFn, ThreadedWorkload};
+use std::sync::Arc;
 
 fn histogram_workload(nprocs: u32) -> ThreadedWorkload {
     let mut alloc = Alloc::new();
@@ -48,6 +53,10 @@ fn histogram_workload(nprocs: u32) -> ThreadedWorkload {
 }
 
 fn main() {
+    let mut workload = histogram_workload(8);
+    let trace = Arc::new(record_ops(&mut workload));
+    let total: u64 = (0..16).map(|b| workload.value_at(256 + b)).sum();
+    assert_eq!(total, 256, "every input element must be counted once");
     for protocol in [
         ProtocolKind::FullMap,
         ProtocolKind::DirTree {
@@ -57,10 +66,7 @@ fn main() {
     ] {
         let mut config = MachineConfig::paper_default(8);
         config.verify = true;
-        let mut machine = Machine::new(config, protocol);
-        let mut workload = histogram_workload(8);
-        let out = machine.run(&mut workload);
-        let total: u64 = (0..16).map(|b| workload.value_at(256 + b)).sum();
+        let out = replay(&config, protocol, &trace);
         println!(
             "{:<12} cycles={:<8} msgs={:<6} lock acquisitions={}  (histogram total = {total})",
             protocol.name(),
@@ -68,6 +74,5 @@ fn main() {
             out.stats.critical_messages(),
             out.stats.lock_acquires,
         );
-        assert_eq!(total, 256, "every input element must be counted once");
     }
 }

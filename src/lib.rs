@@ -4,8 +4,9 @@
 //! Protocol for Shared Memory Multiprocessors"* (Chang & Bhuyan, ICPP 1996):
 //! the Dir<sub>i</sub>Tree<sub>k</sub> protocol, eight baseline directory /
 //! linked-list / tree protocols, a cycle-level multiprocessor simulator over
-//! a wormhole-routed binary n-cube, and the execution-driven workloads
-//! (MP3D, LU, Floyd-Warshall, FFT) used in the paper's evaluation.
+//! a wormhole-routed binary n-cube, and the workloads (MP3D, LU,
+//! Floyd-Warshall, FFT) used in the paper's evaluation, recorded once as
+//! per-node op streams and replayed under every protocol.
 //!
 //! This crate is a facade that re-exports the workspace members:
 //!
@@ -14,7 +15,7 @@
 //! * [`coherence`] — the protocols themselves (the paper's contribution
 //!   lives in [`coherence::dir::dir_tree`]),
 //! * [`machine`] — the simulated multiprocessor,
-//! * [`workloads`] — execution-driven applications,
+//! * [`workloads`] — the applications, their recorder and replay driver,
 //! * [`analysis`] — analytic models and the experiment harness.
 //!
 //! ## Quickstart

@@ -1,24 +1,29 @@
 //! Cross-protocol differential test on a *seeded random* operation trace.
 //!
-//! The application tests in `protocol_equivalence.rs` compare real
+//! The application tests in `protocol_equivalence.rs` replay real
 //! algorithms whose access patterns are highly structured. This suite
 //! drives the protocols with a randomized (but seeded and phase-structured)
 //! trace instead — see [`dirtree::workloads::phases::PhasedTrace`] for the
 //! generator: per phase, a deterministic owner writes each block, a barrier
 //! orders the phase, then every processor reads a private random subset of
-//! blocks and folds the loaded values into a running checksum. The
-//! checksums are the *per-processor read values* — any protocol that ever
-//! serves one stale load diverges.
+//! blocks.
 //!
-//! Dir_nNB (full-map) is the oracle: its final memory image, including
-//! every processor's checksum word, must be matched bit-for-bit by all
-//! eight other members of [`ProtocolKind::figure_set`], by the update-write
-//! variant, and by the adaptive hybrid (whose per-block mode flips must be
-//! architecturally invisible).
+//! The trace is recorded once; its read values, and so the per-processor
+//! checksums, come from the recorder and are protocol-independent by
+//! construction. The stale-load oracle is the coherence witness
+//! (`verify: true` in `MachineConfig::test_default`): every member of
+//! [`ProtocolKind::figure_set`], the update-write variant and the adaptive
+//! hybrid (whose per-block mode flips must be architecturally invisible)
+//! replay the same streams, and the witness panics on the first load any
+//! of them serves stale. Full-map is the timing baseline: every protocol
+//! must retire exactly its reads and writes.
 
-use dirtree::machine::{Machine, MachineConfig};
+use dirtree::analysis::experiments::replay;
+use dirtree::machine::MachineConfig;
 use dirtree::prelude::*;
 use dirtree::workloads::phases::PhasedTrace;
+use dirtree::workloads::record_ops;
+use std::sync::Arc;
 
 fn trace(seed: u64) -> PhasedTrace {
     PhasedTrace {
@@ -28,16 +33,6 @@ fn trace(seed: u64) -> PhasedTrace {
         reads_per_phase: 12,
         seed,
     }
-}
-
-/// Final architectural memory (blocks + per-processor checksum words)
-/// after running the seeded trace under `kind`, with the witness on.
-fn final_memory(kind: ProtocolKind, seed: u64) -> Vec<u64> {
-    let t = trace(seed);
-    let mut workload = t.build();
-    let mut machine = Machine::new(MachineConfig::test_default(t.nodes), kind);
-    machine.run(&mut workload);
-    workload.values().to_vec()
 }
 
 /// The figure set plus the write-policy variants this repo adds: the
@@ -59,24 +54,29 @@ fn compared_set() -> Vec<ProtocolKind> {
 fn all_protocols_agree_on_a_seeded_random_trace() {
     for seed in [1996, 0xdead_beef] {
         let t = trace(seed);
-        let oracle = final_memory(ProtocolKind::FullMap, seed);
-        // Sanity on the oracle itself: the last phase's published values
-        // are in memory and every processor produced a checksum.
+        let mut workload = t.build();
+        let ops = Arc::new(record_ops(&mut workload));
+        // Sanity on the recording itself: the last phase's published
+        // values are in memory and every processor produced a checksum.
+        let memory = workload.values();
         for block in 0..t.blocks {
-            assert_eq!(oracle[block as usize], t.published(t.phases - 1, block));
+            assert_eq!(memory[block as usize], t.published(t.phases - 1, block));
         }
         for tid in 0..t.nodes as u64 {
             assert_ne!(
-                oracle[t.checksum_addr(tid) as usize],
+                memory[t.checksum_addr(tid) as usize],
                 0,
                 "tid {tid} read nothing"
             );
         }
+        let config = MachineConfig::test_default(t.nodes);
+        let oracle = replay(&config, ProtocolKind::FullMap, &ops).stats;
         for kind in compared_set() {
+            let stats = replay(&config, kind, &ops).stats;
             assert_eq!(
-                final_memory(kind, seed),
-                oracle,
-                "{} diverged from the full-map oracle (seed {seed})",
+                (stats.reads, stats.writes),
+                (oracle.reads, oracle.writes),
+                "{} retired a different op mix (seed {seed})",
                 kind.name()
             );
         }

@@ -1,9 +1,15 @@
-//! The applications compute *real results* through the simulated memory;
-//! their data-flow is phase-structured, so the final architectural memory
-//! must be bit-identical across every protocol — any divergence means a
-//! protocol delivered stale data somewhere.
+//! Every protocol must run each application's recorded op streams with
+//! the coherence witness on (`verify: true`), which panics on the first
+//! load that returns a stale value.
+//!
+//! The applications compute real results, but in the recorder, not in the
+//! simulated machine: the final memory image is protocol-independent by
+//! construction (the apps' unit tests compare it with sequential
+//! references). What differs per protocol is whether its replay of the
+//! same streams stays coherent, and the witness is that oracle.
 
-use dirtree::machine::{Machine, MachineConfig};
+use dirtree::analysis::experiments::{record, replay};
+use dirtree::machine::{DriverOp, MachineConfig};
 use dirtree::prelude::*;
 
 fn protocols() -> Vec<ProtocolKind> {
@@ -28,13 +34,26 @@ fn protocols() -> Vec<ProtocolKind> {
     ]
 }
 
-fn final_memory(kind: ProtocolKind, workload: WorkloadKind, nodes: u32) -> Vec<u64> {
+/// Record `workload` once and replay it under each of `kinds`, witness on.
+fn verified_on(kinds: &[ProtocolKind], workload: WorkloadKind, nodes: u32) {
+    let trace = record(workload, nodes);
+    let refs = trace
+        .iter()
+        .flatten()
+        .filter(|op| matches!(op, DriverOp::Read(_) | DriverOp::Write(_)))
+        .count() as u64;
     let mut config = MachineConfig::paper_default(nodes);
     config.verify = true;
-    let mut machine = Machine::new(config, kind);
-    let mut driver = workload.build(nodes);
-    machine.run(&mut driver);
-    driver.values().to_vec()
+    for &kind in kinds {
+        let out = replay(&config, kind, &trace);
+        assert_eq!(
+            out.stats.total_ops(),
+            refs,
+            "{} did not retire every op of {}",
+            kind.name(),
+            workload.name()
+        );
+    }
 }
 
 #[test]
@@ -43,34 +62,19 @@ fn floyd_identical_across_protocols() {
         vertices: 16,
         seed: 11,
     };
-    let reference = final_memory(ProtocolKind::FullMap, w, 4);
-    for kind in protocols() {
-        assert_eq!(
-            final_memory(kind, w, 4),
-            reference,
-            "{} diverged on {}",
-            kind.name(),
-            w.name()
-        );
-    }
+    verified_on(&protocols(), w, 4);
 }
 
 #[test]
 fn fft_identical_across_protocols() {
     let w = WorkloadKind::Fft { points: 64 };
-    let reference = final_memory(ProtocolKind::FullMap, w, 4);
-    for kind in protocols() {
-        assert_eq!(final_memory(kind, w, 4), reference, "{}", kind.name());
-    }
+    verified_on(&protocols(), w, 4);
 }
 
 #[test]
 fn lu_identical_across_protocols() {
     let w = WorkloadKind::Lu { n: 12 };
-    let reference = final_memory(ProtocolKind::FullMap, w, 4);
-    for kind in protocols() {
-        assert_eq!(final_memory(kind, w, 4), reference, "{}", kind.name());
-    }
+    verified_on(&protocols(), w, 4);
 }
 
 #[test]
@@ -79,10 +83,7 @@ fn mp3d_identical_across_protocols() {
         particles: 60,
         steps: 3,
     };
-    let reference = final_memory(ProtocolKind::FullMap, w, 4);
-    for kind in protocols() {
-        assert_eq!(final_memory(kind, w, 4), reference, "{}", kind.name());
-    }
+    verified_on(&protocols(), w, 4);
 }
 
 #[test]
@@ -91,27 +92,25 @@ fn jacobi_identical_across_protocols() {
         grid: 10,
         sweeps: 3,
     };
-    let reference = final_memory(ProtocolKind::FullMap, w, 4);
-    for kind in protocols() {
-        assert_eq!(final_memory(kind, w, 4), reference, "{}", kind.name());
-    }
+    verified_on(&protocols(), w, 4);
 }
 
 #[test]
 fn blocked_lu_identical_across_protocols() {
     let w = WorkloadKind::LuBlocked { n: 12, block: 4 };
-    let reference = final_memory(ProtocolKind::FullMap, w, 4);
-    for kind in [
-        ProtocolKind::DirTree {
-            pointers: 4,
-            arity: 2,
-        },
-        ProtocolKind::LimitedNB { pointers: 1 },
-        ProtocolKind::Sci,
-        ProtocolKind::Snoop,
-    ] {
-        assert_eq!(final_memory(kind, w, 4), reference, "{}", kind.name());
-    }
+    verified_on(
+        &[
+            ProtocolKind::DirTree {
+                pointers: 4,
+                arity: 2,
+            },
+            ProtocolKind::LimitedNB { pointers: 1 },
+            ProtocolKind::Sci,
+            ProtocolKind::Snoop,
+        ],
+        w,
+        4,
+    );
 }
 
 #[test]
@@ -120,15 +119,16 @@ fn eight_processors_floyd_equivalence() {
         vertices: 12,
         seed: 23,
     };
-    let reference = final_memory(ProtocolKind::FullMap, w, 8);
-    for kind in [
-        ProtocolKind::DirTree {
-            pointers: 2,
-            arity: 2,
-        },
-        ProtocolKind::SinglyList,
-        ProtocolKind::SciTree,
-    ] {
-        assert_eq!(final_memory(kind, w, 8), reference, "{}", kind.name());
-    }
+    verified_on(
+        &[
+            ProtocolKind::DirTree {
+                pointers: 2,
+                arity: 2,
+            },
+            ProtocolKind::SinglyList,
+            ProtocolKind::SciTree,
+        ],
+        w,
+        8,
+    );
 }

@@ -1,8 +1,10 @@
 //! Smoke matrix: every workload kind × a representative protocol set at
 //! tiny scale, verification on. Breadth over depth — catches wiring
-//! regressions anywhere in the stack.
+//! regressions anywhere in the stack. Each workload is recorded once and
+//! replayed under every protocol.
 
-use dirtree::machine::{Machine, MachineConfig};
+use dirtree::analysis::experiments::{record, replay};
+use dirtree::machine::MachineConfig;
 use dirtree::prelude::*;
 
 fn protocols() -> Vec<ProtocolKind> {
@@ -67,10 +69,9 @@ fn every_workload_runs_on_every_protocol() {
         associativity: 48,
     };
     for w in workloads() {
+        let trace = record(w, 4);
         for kind in protocols() {
-            let mut machine = Machine::new(config, kind);
-            let mut driver = w.build(4);
-            let out = machine.run(&mut driver);
+            let out = replay(&config, kind, &trace);
             assert!(
                 out.stats.total_ops() > 0,
                 "{} on {} made no progress",
@@ -108,6 +109,13 @@ fn torus_topology_end_to_end() {
     // 4-ary 2-cube (16 nodes) instead of the hypercube.
     let mut config = MachineConfig::test_default(16);
     config.topology = dirtree::machine::TopologyKind::KaryNcube { radix: 4 };
+    let trace = record(
+        WorkloadKind::Floyd {
+            vertices: 12,
+            seed: 4,
+        },
+        16,
+    );
     for kind in [
         ProtocolKind::FullMap,
         ProtocolKind::DirTree {
@@ -115,13 +123,7 @@ fn torus_topology_end_to_end() {
             arity: 2,
         },
     ] {
-        let mut machine = Machine::new(config, kind);
-        let mut driver = WorkloadKind::Floyd {
-            vertices: 12,
-            seed: 4,
-        }
-        .build(16);
-        let out = machine.run(&mut driver);
+        let out = replay(&config, kind, &trace);
         assert!(out.cycles > 0);
     }
 }
@@ -130,14 +132,15 @@ fn torus_topology_end_to_end() {
 fn bus_fabric_end_to_end() {
     let mut config = MachineConfig::test_default(8);
     config.net = dirtree::net::NetworkConfig::bus();
-    for kind in [ProtocolKind::Snoop, ProtocolKind::FullMap] {
-        let mut machine = Machine::new(config, kind);
-        let mut driver = WorkloadKind::Sharing {
+    let trace = record(
+        WorkloadKind::Sharing {
             blocks: 4,
             rounds: 4,
-        }
-        .build(8);
-        machine.run(&mut driver);
+        },
+        8,
+    );
+    for kind in [ProtocolKind::Snoop, ProtocolKind::FullMap] {
+        replay(&config, kind, &trace);
     }
 }
 
@@ -150,13 +153,13 @@ fn eight_processor_matrix_on_trees() {
         },
         WorkloadKind::Fft { points: 64 },
     ] {
+        let trace = record(w, 8);
         for pointers in [1u32, 2, 4, 8] {
-            let mut machine = Machine::new(
-                MachineConfig::test_default(8),
+            replay(
+                &MachineConfig::test_default(8),
                 ProtocolKind::DirTree { pointers, arity: 2 },
+                &trace,
             );
-            let mut driver = w.build(8);
-            machine.run(&mut driver);
         }
     }
 }
