@@ -2,11 +2,14 @@
 # Tier-1 gate: formatting, lints, build, the full workspace test suite
 # (which includes the paper-claims and cross-protocol differential
 # suites), the feature-off observability check, and the model checker's
-# default tier (every roster protocol — figure set, update, adaptive, and
-# the ternary-tree shapes — exhaustively explored at P=2 and P=3, plus as
-# much of the P=4 roster as fits a one-minute wall-clock budget, with
-# per-shape explored/deduped/sleep-pruned state counts printed). Run from
-# the repository root; fails fast on the first problem.
+# default tier (every roster protocol — the figure set, and Dir_iTree_k
+# under its update and adaptive write policies, binary and ternary —
+# exhaustively explored at P=2 and P=3, plus as much of the P=4 roster as
+# fits a one-minute wall-clock budget). The checker writes per-shape
+# states/explored/deduped/sleep-pruned counts to
+# target/check_all/stats.jsonl; the P=2/P=3 rows must equal
+# tests/golden/check_roster_p23.jsonl, so a state-space change is a diff.
+# Run from the repository root; fails fast on the first problem.
 #
 #   ./ci.sh          default gate (~2-3 min of model checking: P=2, P=3,
 #                    and a time-budgeted P=4 slice)
@@ -45,6 +48,11 @@ if (( deep )); then
 else
   cargo run --release -p dirtree-check --bin check_all -- --budget 60
 fi
+# The P=4 slice depends on the time budget, so only the exhaustive P=2/P=3
+# single-block rows are pinned.
+grep -E '"nodes":[23],"blocks":1,' target/check_all/stats.jsonl |
+  cmp - tests/golden/check_roster_p23.jsonl
+echo "check-stats: P=2/P=3 rows match tests/golden/check_roster_p23.jsonl"
 
 # Perf smoke: the P=64 slice of the hot-path scaling study must finish
 # inside a generous wall-clock budget (catches order-of-magnitude

@@ -21,7 +21,11 @@
 //! given machine speed); `--deep` runs the whole P>=4 roster. Each line
 //! reports the reduction statistics: states
 //! actually explored (`apply()` calls), canonical-duplicate hits, sleep-
-//! set-pruned transitions, and the symmetry group size.
+//! set-pruned transitions, and the symmetry group size. The same counters
+//! go, one JSON line per explored shape and without timing, to
+//! `target/check_all/stats.jsonl` (relative to the working directory), so
+//! a reduction regression shows up as a diff; `ci.sh` compares the P=2/P=3
+//! rows with `tests/golden/check_roster_p23.jsonl`.
 //!
 //! Exit status: 0 all pass, 1 a violation was found, 2 a resource limit
 //! stopped an exploration before exhaustion.
@@ -29,6 +33,9 @@
 use dirtree_check::{explore, replay, report, CheckConfig, CheckOutcome};
 use dirtree_core::protocol::{build_protocol, ProtocolKind, ProtocolParams};
 use dirtree_machine::{Driver, DriverOp, Machine, MachineConfig, ScriptDriver, StallError};
+use std::io::Write;
+
+const STATS_PATH: &str = "target/check_all/stats.jsonl";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -74,11 +81,11 @@ fn main() {
     }
 
     // The figure-set protocols under default parameters, plus the write-
-    // policy shapes the figure set does not cover: the update protocol at
+    // policy shapes the figure set does not cover: the update policy at
     // both pointer counts and the adaptive hybrid. The aggressive Schmitt
     // thresholds (flip up at +1, back down below 0) force mode flips in
-    // the middle of explored histories, so the drained-transition
-    // machinery itself — not just each inner protocol — is model-checked.
+    // the middle of explored histories, so the drain rule and the flip
+    // itself — not just each pinned policy — are model-checked.
     let aggressive = ProtocolParams {
         adapt_flip_up: 1,
         adapt_flip_down: 0,
@@ -146,6 +153,12 @@ fn main() {
         })
         .collect();
 
+    let mut stats_file = std::fs::create_dir_all("target/check_all")
+        .and_then(|()| std::fs::File::create(STATS_PATH))
+        .unwrap_or_else(|e| {
+            eprintln!("check_all: cannot create {STATS_PATH}: {e}");
+            std::process::exit(74);
+        });
     let mut passed = 0u32;
     let mut failed = 0u32;
     let mut limited = 0u32;
@@ -182,6 +195,8 @@ fn main() {
             report::render(name, &cfg, &outcome, rep.as_ref()).trim_end(),
             elapsed
         );
+        writeln!(stats_file, "{}", report::stats_json(name, &cfg, &outcome))
+            .unwrap_or_else(|e| panic!("writing {STATS_PATH}: {e}"));
     };
     for (name, kind, params) in &roster {
         for &(nodes, blocks) in &shapes {

@@ -43,6 +43,28 @@ pub fn render(
     }
 }
 
+/// One machine-readable JSON line (no trailing newline) with a shape's
+/// exploration counters — what `check_all` appends to its `stats.jsonl`.
+/// Timing is left out so the line is a deterministic function of the
+/// protocol and the shape; a violation, which stops mid-layer, reports
+/// zero work counters.
+pub fn stats_json(name: &str, cfg: &CheckConfig, outcome: &CheckOutcome) -> String {
+    let s = outcome.stats().unwrap_or_default();
+    format!(
+        "{{\"name\":\"{}\",\"nodes\":{},\"blocks\":{},\"fuel\":{},\"states\":{},\
+         \"explored\":{},\"deduped\":{},\"sleep_pruned\":{},\"sym_group\":{}}}",
+        name.replace('\\', "\\\\").replace('"', "\\\""),
+        cfg.nodes,
+        cfg.blocks,
+        cfg.fuel,
+        outcome.states(),
+        s.explored,
+        s.deduped,
+        s.sleep_pruned,
+        s.sym_group
+    )
+}
+
 /// Render a counterexample, including the replay's per-step narration,
 /// message trace, and [`MsgTrace::dropped`](dirtree_machine::MsgTrace::dropped)
 /// count when a replay is supplied.

@@ -19,26 +19,43 @@
 //! equal level: this reproduces the paper's Figure 5, where the 15th read
 //! miss adopts processors 11 and 13.
 //!
-//! **Write miss** (~log P latency): the home sends invalidations to the
-//! roots; each node forwards to its children and acknowledges its parent
-//! after its subtree acks. Even-numbered pointers additionally invalidate
-//! their odd-numbered partners, so the home collects at most `⌈i/2⌉` acks.
+//! **Write miss** (~log P latency): the home sends a wave to the roots;
+//! each node forwards it to its children and acknowledges its parent after
+//! its subtree acks. Even-numbered pointers additionally forward to their
+//! odd-numbered partners, so the home collects at most `⌈i/2⌉` acks.
+//!
+//! **Write policy.** §3 says the forest can serve "either an invalidation
+//! or an update protocol", so the policy is a property of the block, not a
+//! separate protocol. One forest, one Figure-6 insertion and one wave
+//! fan-out serve three policies:
+//! * *Invalidate* (the paper's protocol, [`DirTree::new`]): the wave is
+//!   `Inv`, it clears the forest, and the writer gets an exclusive copy.
+//! * *Update* ([`DirTree::new_update`]): the wave is `Update`, every copy
+//!   stays valid and the forest survives; the writer joins it through the
+//!   normal insertion. There is no exclusive state, so every write is a
+//!   home transaction and memory is always current.
+//! * *Adaptive* ([`DirTree::new_adaptive`]): the hybrid of the title. A
+//!   home-side [`PatternDetector`] picks the policy per block. A flip is a
+//!   mode-bit change on a *drained* block (no message in flight, no
+//!   unretired completion, no open transaction, clean entry), and the
+//!   forest stays where it is.
 //!
 //! **Replacement**: the evicted block silently kills its subtree with
 //! unacknowledged `Replace_INV` messages and never informs the home —
-//! directory pointers may go stale; invalidation handling is idempotent so
-//! every `Inv` still produces exactly one ack.
+//! directory pointers may go stale; wave handling is idempotent so every
+//! wave message still produces exactly one ack.
 //!
 //! Because `Replace_INV` is unacknowledged, nothing orders the silent kill
 //! before a later write grant: if the disbanding node forgot its child
 //! edges, a write could complete (all *recorded* sharers acked) while a
 //! `Replace_INV` is still in flight toward a live copy. The disbanded
 //! edges are therefore remembered as **zombie edges** and every
-//! acknowledged invalidation wave re-traverses them; per-channel FIFO
-//! delivery guarantees the wave's `Inv` reaches each ex-child after the
-//! `Replace_INV` did, so its acknowledgement proves the copy is dead.
-//! (The model checker in `crates/check` finds the 12-step counterexample
-//! at P=2 if the edges are dropped instead.)
+//! acknowledged wave re-traverses them; per-channel FIFO delivery
+//! guarantees the wave's message reaches each ex-child after the
+//! `Replace_INV` did, so its acknowledgement proves the copy is dead (or
+//! has re-joined the forest on its own). (The model checker in
+//! `crates/check` finds the 12-step counterexample at P=2 if the edges are
+//! dropped instead.)
 //!
 //! ```
 //! use dirtree_core::dir::dir_tree::DirTree;
@@ -55,47 +72,19 @@
 //! assert_eq!(proto.children_of(15, 0), &[11, 13]);
 //! ```
 
+use crate::adapt::detector::PatternDetector;
 use crate::ctx::{ProtoCtx, ProtoEvent};
-use crate::dir::util::{ack, AckCollectors, TxnGate};
+use crate::dir::util::{AckCollectors, TxnGate};
 use crate::msg::{Msg, MsgKind};
 use crate::protocol::{ptr_bits, Protocol, ProtocolKind, ProtocolParams};
 use crate::types::{Addr, LineState, NodeId, OpKind};
-use dirtree_sim::FxHashMap;
+use dirtree_sim::{Cycle, FxHashMap, FxHashSet};
 
 /// A directory pointer: the root of one sharer tree and its recorded level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Ptr {
     pub node: NodeId,
     pub level: u32,
-}
-
-/// One block's transferable tree state — directory roots, cache-side child
-/// edges, zombie edges — moved verbatim between the invalidate and update
-/// protocol instances when the adaptive hybrid flips the block's write
-/// policy. Both variants build Figure-6 forests with identical metadata, so
-/// a drained block's tree is meaningful to either.
-#[derive(Debug, Default)]
-pub(crate) struct BlockXfer {
-    pub(crate) ptrs: Vec<Option<Ptr>>,
-    pub(crate) children: Vec<(NodeId, Vec<NodeId>)>,
-    pub(crate) zombies: Vec<(NodeId, Vec<NodeId>)>,
-}
-
-/// Remove every `(node, addr)` entry matching `addr` from a per-node edge
-/// map, returned sorted by node (the map is unordered; sorting keeps the
-/// transfer deterministic for debugging even though reinsertion into a map
-/// erases the order again).
-pub(crate) fn drain_addr(
-    map: &mut FxHashMap<(NodeId, Addr), Vec<NodeId>>,
-    addr: Addr,
-) -> Vec<(NodeId, Vec<NodeId>)> {
-    let keys: Vec<NodeId> = map.keys().filter(|k| k.1 == addr).map(|k| k.0).collect();
-    let mut out: Vec<(NodeId, Vec<NodeId>)> = keys
-        .into_iter()
-        .map(|n| (n, map.remove(&(n, addr)).unwrap()))
-        .collect();
-    out.sort_by_key(|(n, _)| *n);
-    out
 }
 
 #[derive(Clone, Default, Hash)]
@@ -111,60 +100,264 @@ struct Entry {
     grant_self_root: bool,
 }
 
-/// An invalidation obligation: who to acknowledge and the pairing duty.
-struct DeferredInv {
+/// A wave obligation: who to acknowledge and the pairing duty.
+struct WaveDebt {
     from: NodeId,
     dir: bool,
     also: Option<NodeId>,
 }
 
-/// The Dir_iTree_k protocol.
+/// How the protocol completes writes.
+#[derive(Clone)]
+enum Policy {
+    Invalidate,
+    Update,
+    Adaptive(Box<Adaptive>),
+}
+
+/// The adaptive policy's state: the detector, the per-block mode bits, and
+/// the drain counters the flip rule consults.
+#[derive(Clone)]
+struct Adaptive {
+    detector: PatternDetector,
+    /// Blocks currently in update mode (absent = invalidate, the default).
+    update_mode: FxHashSet<Addr>,
+    drain: Drain,
+    /// Machine size, latched from the context (the detector sizes reader
+    /// bitsets with it). Constant per machine, so not fingerprinted.
+    nodes: u32,
+}
+
+/// Per-block counts a block must bring to zero before it may flip.
+#[derive(Clone, Default)]
+struct Drain {
+    /// Messages sent or redelivered and not yet handled.
+    inflight: FxHashMap<Addr, u32>,
+    /// Completions handed to the machine whose processor-side retirement
+    /// has not been confirmed yet ([`Protocol::note_op_retired`]). A write
+    /// that completed under update semantics must also retire under them.
+    pending_retire: FxHashMap<Addr, u32>,
+}
+
+impl Drain {
+    fn busy(&self, addr: Addr) -> bool {
+        self.inflight.contains_key(&addr) || self.pending_retire.contains_key(&addr)
+    }
+}
+
+/// Decrement a per-block drain count, dropping the key at zero.
+fn release(counts: &mut FxHashMap<Addr, u32>, addr: Addr) {
+    match counts.get_mut(&addr) {
+        Some(c) if *c > 1 => *c -= 1,
+        Some(_) => {
+            counts.remove(&addr);
+        }
+        None => debug_assert!(false, "uncounted drain release for {addr:#x}"),
+    }
+}
+
+/// The [`ProtoCtx`] the adaptive policy's handlers see: counts sends,
+/// redeliveries and completions per block; everything else passes through.
+struct CountingCtx<'a> {
+    inner: &'a mut dyn ProtoCtx,
+    drain: &'a mut Drain,
+}
+
+impl ProtoCtx for CountingCtx<'_> {
+    fn now(&self) -> Cycle {
+        self.inner.now()
+    }
+    fn num_nodes(&self) -> u32 {
+        self.inner.num_nodes()
+    }
+    fn home_of(&self, addr: Addr) -> NodeId {
+        self.inner.home_of(addr)
+    }
+    fn send(&mut self, dst: NodeId, msg: Msg) {
+        *self.drain.inflight.entry(msg.addr).or_insert(0) += 1;
+        self.inner.send(dst, msg);
+    }
+    fn redeliver(&mut self, node: NodeId, msg: Msg, delay: Cycle) {
+        *self.drain.inflight.entry(msg.addr).or_insert(0) += 1;
+        self.inner.redeliver(node, msg, delay);
+    }
+    fn occupy(&mut self, node: NodeId, cycles: Cycle) {
+        self.inner.occupy(node, cycles);
+    }
+    fn line_state(&self, node: NodeId, addr: Addr) -> LineState {
+        self.inner.line_state(node, addr)
+    }
+    fn set_line_state(&mut self, node: NodeId, addr: Addr, state: LineState) {
+        self.inner.set_line_state(node, addr, state);
+    }
+    fn complete(&mut self, node: NodeId, addr: Addr, op: OpKind) {
+        *self.drain.pending_retire.entry(addr).or_insert(0) += 1;
+        self.inner.complete(node, addr, op);
+    }
+    fn note(&mut self, event: ProtoEvent) {
+        self.inner.note(event);
+    }
+}
+
+/// The wire kind of one wave hop: `Inv` or `Update`.
+fn wave_kind(update: bool, also: Option<NodeId>, from_dir: bool) -> MsgKind {
+    if update {
+        MsgKind::Update { also, from_dir }
+    } else {
+        MsgKind::Inv { also, from_dir }
+    }
+}
+
+/// Forward a wave from `node` to a child, zombie or pairing partner.
+fn send_wave(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, to: NodeId, update: bool) {
+    let kind = wave_kind(update, None, false);
+    ctx.send(
+        to,
+        Msg {
+            addr,
+            src: node,
+            kind,
+        },
+    );
+}
+
+/// Acknowledge one wave message (`InvAck` or `UpdateAck`).
+fn send_ack(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, to: NodeId, dir: bool, update: bool) {
+    let kind = if update {
+        MsgKind::UpdateAck { dir }
+    } else {
+        MsgKind::InvAck { dir }
+    };
+    ctx.send(
+        to,
+        Msg {
+            addr,
+            src: node,
+            kind,
+        },
+    );
+}
+
+/// The Dir_iTree_k protocol under one of its three write policies.
 #[derive(Clone)]
 pub struct DirTree {
     pointers: u32,
     arity: u32,
     params: ProtocolParams,
+    policy: Policy,
     entries: FxHashMap<Addr, Entry>,
     gate: TxnGate,
     /// Cache-side child pointers (up to `arity` per line).
     children: FxHashMap<(NodeId, Addr), Vec<NodeId>>,
     /// Edges of a disbanded subtree: children a node has already sent an
     /// *unacknowledged* `ReplaceInv`, remembered until an acknowledged
-    /// invalidation wave re-traverses them. Nothing orders a silent kill
-    /// before a later write grant except per-channel FIFO — so the wave's
-    /// `Inv` must follow the same channels the `ReplaceInv` took. Dropping
-    /// these edges at replacement time lets a write complete while the
-    /// kill is still in flight (the model checker finds the race in 12
-    /// steps at P=2).
+    /// wave re-traverses them. Nothing orders a silent kill before a later
+    /// write grant except per-channel FIFO — so the wave must follow the
+    /// same channels the `ReplaceInv` took. Dropping these edges at
+    /// replacement time lets a write complete while the kill is still in
+    /// flight (the model checker finds the race in 12 steps at P=2).
     zombies: FxHashMap<(NodeId, Addr), Vec<NodeId>>,
     collectors: AckCollectors,
     /// Writeback requests that arrived while the owner was still killing
     /// its own subtree (`WmLip`); served when it becomes exclusive.
     pending_wb: FxHashMap<(NodeId, Addr), (OpKind, NodeId)>,
-    /// Reusable scratch for one invalidation wave's `(target, partner)`
-    /// fan-out — cleared before every use, so its carry-over contents are
-    /// *not* protocol state: it is excluded from [`Protocol::fingerprint`]
-    /// (the model checker must never observe scratch reuse; a mutant that
+    /// Update policy: `Replace_INV`s that landed while the target's update
+    /// grant was in flight (state `WmIp`). The kill is deferred to grant
+    /// time, because the edge that led here is already gone — a copy the
+    /// grant made valid would be unreachable from the roots forever.
+    pending_kill: FxHashSet<(NodeId, Addr)>,
+    /// Reusable scratch for one home wave's `(target, partner)` fan-out —
+    /// cleared before every use, so its carry-over contents are *not*
+    /// protocol state: it is excluded from [`Protocol::fingerprint`] (the
+    /// model checker must never observe scratch reuse; a mutant that
     /// aliases this buffer across waves is caught by the witness — see
     /// `dirtree-check`'s `MutantKind::StaleWaveScratch`).
     wave_scratch: Vec<(NodeId, Option<NodeId>)>,
 }
 
 impl DirTree {
+    /// The paper's protocol: invalidation writes.
     pub fn new(pointers: u32, arity: u32, params: ProtocolParams) -> Self {
+        Self::with_policy(pointers, arity, params, Policy::Invalidate)
+    }
+
+    /// Update writes on every block.
+    pub fn new_update(pointers: u32, arity: u32, params: ProtocolParams) -> Self {
+        Self::with_policy(pointers, arity, params, Policy::Update)
+    }
+
+    /// The adaptive hybrid: a per-block write policy picked by the
+    /// sharing-pattern detector (blocks start in invalidate mode).
+    pub fn new_adaptive(pointers: u32, arity: u32, params: ProtocolParams) -> Self {
+        let adaptive = Adaptive {
+            detector: PatternDetector::new(
+                params.adapt_flip_up,
+                params.adapt_flip_down,
+                params.adapt_saturation,
+            ),
+            update_mode: FxHashSet::default(),
+            drain: Drain::default(),
+            nodes: 0,
+        };
+        Self::with_policy(
+            pointers,
+            arity,
+            params,
+            Policy::Adaptive(Box::new(adaptive)),
+        )
+    }
+
+    fn with_policy(pointers: u32, arity: u32, params: ProtocolParams, policy: Policy) -> Self {
         assert!(pointers >= 1, "need at least one directory pointer");
         assert!(arity >= 2, "cache blocks need at least two child pointers");
         Self {
             pointers,
             arity,
             params,
+            policy,
             entries: FxHashMap::default(),
             gate: TxnGate::new(),
             children: FxHashMap::default(),
             zombies: FxHashMap::default(),
             collectors: AckCollectors::new(),
             pending_wb: FxHashMap::default(),
+            pending_kill: FxHashSet::default(),
             wave_scratch: Vec::new(),
+        }
+    }
+
+    /// Does `addr` currently complete writes with update semantics? Pinned
+    /// policies answer from the policy alone.
+    fn updates(&self, addr: Addr) -> bool {
+        match &self.policy {
+            Policy::Invalidate => false,
+            Policy::Update => true,
+            Policy::Adaptive(a) => a.update_mode.contains(&addr),
+        }
+    }
+
+    /// Current detector score for `addr` (adaptive policy; diagnostics and
+    /// tests). Pinned policies have no detector and report 0.
+    pub fn score(&self, addr: Addr) -> i32 {
+        match &self.policy {
+            Policy::Adaptive(a) => a.detector.score(addr),
+            _ => 0,
+        }
+    }
+
+    /// Force `addr`'s mode bit *without* the drain check. This is a fault
+    /// injector for the mutation tests — flipping mid-wave makes a
+    /// completing write retire under the wrong semantics, which the SWMR
+    /// witness must catch. Never called by the protocol itself.
+    #[doc(hidden)]
+    pub fn force_mode(&mut self, addr: Addr, update: bool) {
+        let Policy::Adaptive(a) = &mut self.policy else {
+            panic!("force_mode needs the adaptive write policy");
+        };
+        if update {
+            a.update_mode.insert(addr);
+        } else {
+            a.update_mode.remove(&addr);
         }
     }
 
@@ -203,15 +396,16 @@ impl DirTree {
             .unwrap_or(&[])
     }
 
-    /// No home transaction, no ack collection, no pending writeback, clean
-    /// directory entry: the block is safe to hand to the other write policy
-    /// (the adaptive hybrid additionally requires zero in-flight messages).
-    /// A dirty block is *not* idle — the update variant has no exclusive
-    /// state, so the owner must write back before the block can flip.
-    pub(crate) fn flip_idle(&self, addr: Addr) -> bool {
+    /// No home transaction, no ack collection, no pending writeback or
+    /// deferred kill, clean directory entry: the block may change write
+    /// policy (the flip additionally requires a drained [`Drain`]). A dirty
+    /// block is *not* idle — update mode has no exclusive state, so the
+    /// owner must write back before the block can flip.
+    fn flip_idle(&self, addr: Addr) -> bool {
         !self.gate.has_traffic(addr)
             && !self.collectors.open_at_addr(addr)
             && !self.pending_wb.keys().any(|k| k.1 == addr)
+            && !self.pending_kill.iter().any(|k| k.1 == addr)
             && self.entries.get(&addr).is_none_or(|e| {
                 !e.dirty
                     && e.pending.is_none()
@@ -221,58 +415,81 @@ impl DirTree {
             })
     }
 
-    /// Does this instance hold *any* state for `addr`? The adaptive hybrid
-    /// pins this to false for the instance that does not own the block.
-    pub(crate) fn has_block_state(&self, addr: Addr) -> bool {
-        self.entries.contains_key(&addr)
-            || self.gate.has_traffic(addr)
-            || self.collectors.open_at_addr(addr)
-            || self.pending_wb.keys().any(|k| k.1 == addr)
-            || self.children.keys().any(|k| k.1 == addr)
-            || self.zombies.keys().any(|k| k.1 == addr)
-    }
-
-    /// Remove and return the block's transferable tree state. Caller must
-    /// have checked [`Self::flip_idle`] (in particular the entry is clean,
-    /// so dropping `dirty`/`owner` loses nothing).
-    pub(crate) fn take_block(&mut self, addr: Addr) -> BlockXfer {
-        debug_assert!(self.flip_idle(addr));
-        let ptrs = self
-            .entries
-            .remove(&addr)
-            .map(|e| e.ptrs)
-            .unwrap_or_else(|| vec![None; self.pointers as usize]);
-        BlockXfer {
-            ptrs,
-            children: drain_addr(&mut self.children, addr),
-            zombies: drain_addr(&mut self.zombies, addr),
+    /// Adaptive policy, while the home serves a fresh `ReadReq` or
+    /// `WriteReq` for `addr` (from `writer`, for a write), *before* serving
+    /// it: if the block is idle ([`Self::flip_idle`]), classify the write
+    /// interval a write closes, then flip the block's write policy if the
+    /// detector wants the other one and the block is drained — zero
+    /// in-flight messages and zero unretired completions (so a write
+    /// completed under the old mode also *retires* under it).
+    ///
+    /// A flip is a mode-bit change. The forest — roots, child edges and
+    /// zombie edges — stays as it is; the entry is normalised to its
+    /// pointers (the stale `owner` of a written-back block is dropped, and
+    /// an entry without roots is removed), so a block's state after a flip
+    /// does not depend on the history that led to it.
+    fn maybe_flip(&mut self, ctx: &mut dyn ProtoCtx, addr: Addr, writer: Option<NodeId>) {
+        if !self.flip_idle(addr) {
+            return;
         }
+        let Policy::Adaptive(a) = &mut self.policy else {
+            return;
+        };
+        if let Some(writer) = writer {
+            let pattern = a.detector.record_write(addr, writer, a.nodes);
+            ctx.note(ProtoEvent::PatternSample(pattern));
+        }
+        let in_update = a.update_mode.contains(&addr);
+        if a.detector.prefers_update(addr, in_update) == in_update || a.drain.busy(addr) {
+            return;
+        }
+        self.flip(ctx, addr);
     }
 
-    /// Install tree state taken from the other protocol instance.
-    pub(crate) fn install_block(&mut self, addr: Addr, x: BlockXfer) {
-        debug_assert!(!self.has_block_state(addr));
-        debug_assert_eq!(x.ptrs.len(), self.pointers as usize);
-        if x.ptrs.iter().any(Option::is_some) {
-            self.entries.insert(
-                addr,
-                Entry {
-                    ptrs: x.ptrs,
+    fn flip(&mut self, ctx: &mut dyn ProtoCtx, addr: Addr) {
+        let Policy::Adaptive(a) = &mut self.policy else {
+            unreachable!("only the adaptive policy flips");
+        };
+        let to_update = a.update_mode.insert(addr);
+        if !to_update {
+            a.update_mode.remove(&addr);
+        }
+        if let Some(e) = self.entries.get_mut(&addr) {
+            if e.ptrs.iter().all(Option::is_none) {
+                self.entries.remove(&addr);
+            } else {
+                *e = Entry {
+                    ptrs: std::mem::take(&mut e.ptrs),
                     ..Entry::default()
-                },
-            );
+                };
+            }
         }
-        for (node, kids) in x.children {
-            self.children.insert((node, addr), kids);
-        }
-        for (node, kids) in x.zombies {
-            self.zombies.insert((node, addr), kids);
+        ctx.note(ProtoEvent::ModeFlip { to_update });
+    }
+
+    /// Run `f` under the adaptive policy's counting context (a plain
+    /// pass-through for pinned policies).
+    fn counted(&mut self, ctx: &mut dyn ProtoCtx, f: impl FnOnce(&mut Self, &mut dyn ProtoCtx)) {
+        let Policy::Adaptive(a) = &mut self.policy else {
+            return f(self, ctx);
+        };
+        a.nodes = ctx.num_nodes();
+        let mut drain = std::mem::take(&mut a.drain);
+        f(
+            self,
+            &mut CountingCtx {
+                inner: ctx,
+                drain: &mut drain,
+            },
+        );
+        if let Policy::Adaptive(a) = &mut self.policy {
+            a.drain = drain;
         }
     }
 
     /// Silently disband `(node, addr)`'s subtree: one unacknowledged
     /// `ReplaceInv` per child, with the edges moved to the zombie set so
-    /// the next acknowledged invalidation wave still covers them.
+    /// the next acknowledged wave still covers them.
     fn disband(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
         let kids = self.children.remove(&(node, addr)).unwrap_or_default();
         if kids.is_empty() {
@@ -424,85 +641,87 @@ impl DirTree {
         }
     }
 
-    /// Send invalidations to the forest roots, skipping a root that is the
-    /// requesting writer itself — the grant tells it to kill its own
+    /// Launch a write's wave from the home to the forest roots and return
+    /// the number of acks the home awaits. An invalidation wave skips a
+    /// root that is the writer itself — the grant tells it to kill its own
     /// subtree locally (it holds the child pointers; an `Inv` would only
-    /// bounce back to it). Returns `(expected home acks, writer was a
-    /// recorded root)`.
-    fn invalidate_forest(
+    /// bounce back to it) — and clears the forest; an update wave reaches
+    /// every root, the writer's own copy included, and keeps the forest.
+    fn launch_wave(
         &mut self,
         ctx: &mut dyn ProtoCtx,
         home: NodeId,
         addr: Addr,
-        requester: NodeId,
-    ) -> (u32, bool) {
+        writer: NodeId,
+        update: bool,
+    ) -> u32 {
         let pairing = self.params.dir_tree_pairing;
+        let skip = if update { None } else { Some(writer) };
+        let root = |p: Option<Ptr>| p.map(|p| p.node).filter(|&n| Some(n) != skip);
         // Reuse the wave scratch buffer (taken, cleared, and put back) so a
         // write's fan-out list never allocates on the hot path.
         let mut sends = std::mem::take(&mut self.wave_scratch);
         sends.clear();
         let e = self.entries.get_mut(&addr).unwrap();
-        let self_root = e.ptrs.iter().flatten().any(|p| p.node == requester);
-        let mut expected = 0;
         if pairing {
-            // Even-numbered roots invalidate their odd partners: the home
+            // Even-numbered roots forward to their odd partners: the home
             // receives at most ceil(i/2) acknowledgements.
-            let mut slot = 0;
-            while slot < e.ptrs.len() {
-                let even = e.ptrs[slot].map(|p| p.node).filter(|&n| n != requester);
-                let odd = e
-                    .ptrs
-                    .get(slot + 1)
-                    .copied()
-                    .flatten()
-                    .map(|p| p.node)
-                    .filter(|&n| n != requester);
-                match (even, odd) {
+            for pair in e.ptrs.chunks(2) {
+                let odd = pair.get(1).copied().flatten();
+                match (root(pair[0]), root(odd)) {
                     (Some(a), also) => sends.push((a, also)),
                     (None, Some(b)) => sends.push((b, None)),
                     (None, None) => {}
                 }
-                slot += 2;
             }
         } else {
-            for p in e.ptrs.iter().flatten() {
-                if p.node != requester {
-                    sends.push((p.node, None));
-                }
-            }
+            sends.extend(e.ptrs.iter().filter_map(|&p| root(p)).map(|n| (n, None)));
         }
-        e.ptrs.iter_mut().for_each(|p| *p = None);
+        if !update {
+            e.ptrs.iter_mut().for_each(|p| *p = None);
+        }
         for &(dst, also) in &sends {
             ctx.send(
                 dst,
                 Msg {
                     addr,
                     src: home,
-                    kind: MsgKind::Inv {
-                        also,
-                        from_dir: true,
-                    },
+                    kind: wave_kind(update, also, true),
                 },
             );
-            expected += 1;
         }
+        let expected = sends.len() as u32;
         self.wave_scratch = sends;
-        (expected, self_root)
+        expected
     }
 
-    fn grant_write(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, writer: NodeId) {
-        let e = self.entries.get_mut(&addr).unwrap();
-        e.dirty = true;
-        e.owner = writer;
-        e.ptrs.iter_mut().for_each(|p| *p = None);
-        let kill_self_subtree = e.grant_self_root;
-        e.grant_self_root = false;
+    /// Complete a write at the home once its wave is acknowledged.
+    fn grant(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        home: NodeId,
+        addr: Addr,
+        writer: NodeId,
+        update: bool,
+    ) {
+        let kind = if update {
+            // The writer keeps a valid copy: insert it as a sharer.
+            let adopt = self.insert_sharer(ctx, addr, writer);
+            MsgKind::UpdateGrant { adopt }
+        } else {
+            let e = self.entries.get_mut(&addr).unwrap();
+            e.dirty = true;
+            e.owner = writer;
+            e.ptrs.iter_mut().for_each(|p| *p = None);
+            let kill_self_subtree = std::mem::take(&mut e.grant_self_root);
+            MsgKind::WriteReply { kill_self_subtree }
+        };
         ctx.send(
             writer,
             Msg {
                 addr,
                 src: home,
-                kind: MsgKind::WriteReply { kill_self_subtree },
+                kind,
             },
         );
         self.finish_txn(ctx, home, addr);
@@ -516,6 +735,7 @@ impl DirTree {
         if !self.gate.admit(addr, &msg) {
             return;
         }
+        let update = self.updates(addr);
         let e = self.entry(addr);
         if e.dirty {
             e.pending = Some((requester, OpKind::Write));
@@ -534,15 +754,13 @@ impl DirTree {
             );
             return;
         }
-        let (expected, self_root) = self.invalidate_forest(ctx, home, addr, requester);
-        {
-            let e = self.entries.get_mut(&addr).unwrap();
-            e.grant_self_root = self_root;
-        }
+        let self_root = !update && e.ptrs.iter().flatten().any(|p| p.node == requester);
+        let expected = self.launch_wave(ctx, home, addr, requester, update);
+        let e = self.entries.get_mut(&addr).unwrap();
+        e.grant_self_root = self_root;
         if expected == 0 {
-            self.grant_write(ctx, home, addr, requester);
+            self.grant(ctx, home, addr, requester, update);
         } else {
-            let e = self.entries.get_mut(&addr).unwrap();
             e.pending = Some((requester, OpKind::Write));
             e.wait_acks = expected;
         }
@@ -584,7 +802,7 @@ impl DirTree {
                     // Transaction stays open until the FillAck.
                 }
                 OpKind::Write => {
-                    self.grant_write(ctx, home, addr, requester);
+                    self.grant(ctx, home, addr, requester, false);
                 }
             }
         } else {
@@ -595,117 +813,131 @@ impl DirTree {
         }
     }
 
-    fn handle_inv_ack_home(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr) {
+    /// A root's `InvAck`/`UpdateAck` reached the home; the last one grants
+    /// the write under the wave's semantics.
+    fn handle_home_ack(&mut self, ctx: &mut dyn ProtoCtx, home: NodeId, addr: Addr, update: bool) {
         let e = self.entries.get_mut(&addr).expect("ack without entry");
         debug_assert!(e.wait_acks > 0);
         e.wait_acks -= 1;
         if e.wait_acks == 0 {
             let (requester, op) = e.pending.take().expect("acks without pending");
             debug_assert_eq!(op, OpKind::Write);
-            self.grant_write(ctx, home, addr, requester);
+            self.grant(ctx, home, addr, requester, update);
         }
     }
 
-    /// Perform the invalidation of a live copy at `node`: forward to
-    /// children and any `also` partner, then ack the debt (immediately or
-    /// through a collector). Every invalidation delivery settles exactly one
-    /// debt — later arrivals find the collector open and are absorbed in
-    /// [`Self::handle_inv`] — so the debt is passed by value, not boxed in a
-    /// single-element `Vec`.
+    /// Append `(node, addr)`'s zombie edges to `targets` (skipping ones
+    /// already there) and forget them: the wave about to traverse them is
+    /// the acknowledged re-traversal they were waiting for.
+    fn consume_zombies(&mut self, node: NodeId, addr: Addr, targets: &mut Vec<NodeId>) {
+        for z in self.zombies.remove(&(node, addr)).unwrap_or_default() {
+            if !targets.contains(&z) {
+                targets.push(z);
+            }
+        }
+    }
+
+    /// One wave step at `node`: forward to `targets` plus every zombie edge
+    /// (consumed — FIFO puts this wave behind the `Replace_INV` on the same
+    /// channel) and the pairing partner, then settle `debt`: ack now if
+    /// nothing was forwarded, else open a collector. Every wave delivery
+    /// settles exactly one debt — later arrivals find the collector open
+    /// and are absorbed in [`Self::handle_wave`]. Returns whether a
+    /// collector opened.
+    fn fan_out(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        node: NodeId,
+        addr: Addr,
+        mut targets: Vec<NodeId>,
+        debt: WaveDebt,
+        update: bool,
+    ) -> bool {
+        self.consume_zombies(node, addr, &mut targets);
+        let forwards = targets.len() as u32 + u32::from(debt.also.is_some());
+        for k in targets.into_iter().chain(debt.also) {
+            send_wave(ctx, node, addr, k, update);
+        }
+        if forwards == 0 {
+            send_ack(ctx, node, addr, debt.from, debt.dir, update);
+            false
+        } else {
+            self.collectors
+                .open(node, addr, debt.from, debt.dir, forwards);
+            true
+        }
+    }
+
+    /// Invalidate the copy at `node`: the wave takes its child edges with
+    /// it, and a live line goes invalid (transiently `InvIp` while the
+    /// subtree acks).
     fn kill_copy(
         &mut self,
         ctx: &mut dyn ProtoCtx,
         node: NodeId,
         addr: Addr,
-        debt: DeferredInv,
+        debt: WaveDebt,
         invalidate_line: bool,
     ) {
-        let mut kids = self.children.remove(&(node, addr)).unwrap_or_default();
-        for z in self.zombies.remove(&(node, addr)).unwrap_or_default() {
-            if !kids.contains(&z) {
-                kids.push(z);
-            }
-        }
-        let mut outstanding = 0;
-        for k in kids {
-            ctx.send(
-                k,
-                Msg {
-                    addr,
-                    src: node,
-                    kind: MsgKind::Inv {
-                        also: None,
-                        from_dir: false,
-                    },
-                },
-            );
-            outstanding += 1;
-        }
-        if let Some(partner) = debt.also {
-            ctx.send(
-                partner,
-                Msg {
-                    addr,
-                    src: node,
-                    kind: MsgKind::Inv {
-                        also: None,
-                        from_dir: false,
-                    },
-                },
-            );
-            outstanding += 1;
-        }
-        if outstanding == 0 {
-            if invalidate_line {
-                ctx.set_line_state(node, addr, LineState::Iv);
-            }
-            ack(ctx, node, addr, debt.from, debt.dir);
-        } else {
-            if invalidate_line {
-                ctx.set_line_state(node, addr, LineState::InvIp);
-            }
-            self.collectors
-                .open(node, addr, debt.from, debt.dir, outstanding);
+        let kids = self.children.remove(&(node, addr)).unwrap_or_default();
+        let collecting = self.fan_out(ctx, node, addr, kids, debt, false);
+        if invalidate_line {
+            let state = if collecting {
+                LineState::InvIp
+            } else {
+                LineState::Iv
+            };
+            ctx.set_line_state(node, addr, state);
         }
     }
 
-    fn handle_inv(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
+    /// An `Inv` or `Update` reached a cache. The message kind, not the
+    /// block's current policy, picks the semantics: a wave finishes the
+    /// way it started.
+    fn handle_wave(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
         let addr = msg.addr;
-        let MsgKind::Inv { also, from_dir } = msg.kind else {
+        let update = matches!(msg.kind, MsgKind::Update { .. });
+        let (MsgKind::Inv { also, from_dir } | MsgKind::Update { also, from_dir }) = msg.kind
+        else {
             unreachable!()
         };
-        let debt = DeferredInv {
+        let debt = WaveDebt {
             from: msg.src,
             dir: from_dir,
             also,
         };
         // A node already collecting acknowledgements answers immediately:
-        // its subtree is covered by the first invalidation path, and
-        // waiting here could deadlock on child-pointer *cycles* created by
-        // silent replacement + rejoin (A is replaced, re-reads, and adopts
-        // its own ex-ancestor). Immediate acks make every wait edge follow
+        // its subtree is covered by the first wave path, and waiting here
+        // could deadlock on child-pointer *cycles* created by silent
+        // replacement + rejoin (A is replaced, re-reads, and adopts its own
+        // ex-ancestor). Immediate acks make every wait edge follow
         // first-visit order, which is acyclic. A pairing duty ('also') is
         // the one thing that must still be discharged and awaited.
         if self.collectors.is_open(node, addr) {
             if let Some(partner) = debt.also {
-                ctx.send(
-                    partner,
-                    Msg {
-                        addr,
-                        src: node,
-                        kind: MsgKind::Inv {
-                            also: None,
-                            from_dir: false,
-                        },
-                    },
-                );
+                send_wave(ctx, node, addr, partner, update);
                 self.collectors.absorb(node, addr, debt.from, debt.dir, 1);
             } else {
-                ack(ctx, node, addr, debt.from, debt.dir);
+                send_ack(ctx, node, addr, debt.from, debt.dir, update);
             }
             return;
         }
-        match ctx.line_state(node, addr) {
+        let state = ctx.line_state(node, addr);
+        if update {
+            // The copy is refreshed in place and keeps its children.
+            let live = state == LineState::V;
+            if live {
+                ctx.note(ProtoEvent::Invalidation); // counted as "copies touched"
+            }
+            let kids = if live || state == LineState::WmIp {
+                self.children_of(node, addr).to_vec()
+            } else {
+                Vec::new()
+            };
+            self.fan_out(ctx, node, addr, kids, debt, true);
+            return;
+        }
+        match state {
             LineState::V => {
                 ctx.note(ProtoEvent::Invalidation);
                 self.kill_copy(ctx, node, addr, debt, true);
@@ -737,28 +969,30 @@ impl DirTree {
             LineState::E => {
                 // Unreachable by construction (see module docs); be safe.
                 debug_assert!(false, "Inv reached an exclusive owner");
-                ack(ctx, node, addr, debt.from, debt.dir);
+                send_ack(ctx, node, addr, debt.from, debt.dir, false);
             }
         }
     }
 
-    fn handle_inv_ack_cache(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
-        if let Some(targets) = self.collectors.ack(node, addr) {
-            if ctx.line_state(node, addr) == LineState::InvIp {
-                ctx.set_line_state(node, addr, LineState::Iv);
-            }
-            for (to, dir) in targets {
-                if to == node && !dir {
-                    // Self-subtree kill finished: the write completes.
-                    debug_assert_eq!(ctx.line_state(node, addr), LineState::WmLip);
-                    ctx.set_line_state(node, addr, LineState::E);
-                    ctx.complete(node, addr, OpKind::Write);
-                    if let Some((for_op, requester)) = self.pending_wb.remove(&(node, addr)) {
-                        self.serve_wb_req(ctx, node, addr, for_op, requester);
-                    }
-                } else {
-                    ack(ctx, node, addr, to, dir);
+    /// A child's (or partner's) ack reached a collecting cache.
+    fn handle_cache_ack(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, update: bool) {
+        let Some(targets) = self.collectors.ack(node, addr) else {
+            return;
+        };
+        if !update && ctx.line_state(node, addr) == LineState::InvIp {
+            ctx.set_line_state(node, addr, LineState::Iv);
+        }
+        for (to, dir) in targets {
+            if !update && to == node && !dir {
+                // Self-subtree kill finished: the write completes.
+                debug_assert_eq!(ctx.line_state(node, addr), LineState::WmLip);
+                ctx.set_line_state(node, addr, LineState::E);
+                ctx.complete(node, addr, OpKind::Write);
+                if let Some((for_op, requester)) = self.pending_wb.remove(&(node, addr)) {
+                    self.serve_wb_req(ctx, node, addr, for_op, requester);
                 }
+            } else {
+                send_ack(ctx, node, addr, to, dir, update);
             }
         }
     }
@@ -821,17 +1055,97 @@ impl DirTree {
         );
     }
 
-    fn handle_replace_inv(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
-        // A transient, invalid or exclusive line is no longer the copy the
-        // stale parent thought it was killing; only a live shared copy dies.
-        if ctx.line_state(node, addr) == LineState::V {
-            ctx.note(ProtoEvent::ReplacementInvalidation);
-            self.disband(ctx, node, addr);
-            ctx.set_line_state(node, addr, LineState::Iv);
+    fn handle_write_reply(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        node: NodeId,
+        addr: Addr,
+        kill_self_subtree: bool,
+    ) {
+        debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
+        let mut kids = if kill_self_subtree {
+            self.children.remove(&(node, addr)).unwrap_or_default()
+        } else {
+            // Any children the writer had were killed when the
+            // invalidation reached it through the forest (before its
+            // subtree acked, hence before this grant).
+            debug_assert!(self.children_of(node, addr).is_empty());
+            Vec::new()
+        };
+        // A subtree this writer disbanded earlier (silent replacement, then
+        // re-miss) may still have its `ReplaceInv`s in flight: re-kill it
+        // with acknowledged invalidations so the write cannot complete
+        // first.
+        self.consume_zombies(node, addr, &mut kids);
+        if kids.is_empty() {
+            ctx.set_line_state(node, addr, LineState::E);
+            ctx.complete(node, addr, OpKind::Write);
+        } else {
+            // Kill our own subtree before the write completes.
+            ctx.set_line_state(node, addr, LineState::WmLip);
+            self.collectors
+                .open(node, addr, node, false, kids.len() as u32);
+            for k in kids {
+                send_wave(ctx, node, addr, k, false);
+            }
         }
     }
 
-    fn handle_repl_notify(&mut self, _ctx: &mut dyn ProtoCtx, addr: Addr, src: NodeId) {
+    fn handle_update_grant(
+        &mut self,
+        ctx: &mut dyn ProtoCtx,
+        node: NodeId,
+        addr: Addr,
+        adopt: Vec<NodeId>,
+    ) {
+        debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
+        if !adopt.is_empty() {
+            let slot = self.children.entry((node, addr)).or_default();
+            for a in adopt {
+                if !slot.contains(&a) && a != node {
+                    slot.push(a);
+                }
+            }
+        }
+        if self.pending_kill.remove(&(node, addr)) {
+            // A `Replace_INV` raced this grant (see `handle_replace_inv`).
+            // The write itself is done — the home applied the value when
+            // it processed the request — but the local copy must go the
+            // way the kill intended, or it stays valid yet unreachable
+            // from the roots. Disband first so adopted subtrees get their
+            // own kills.
+            ctx.note(ProtoEvent::ReplacementInvalidation);
+            self.disband(ctx, node, addr);
+            ctx.set_line_state(node, addr, LineState::Iv);
+        } else {
+            // The writer keeps a *valid* (not exclusive) copy.
+            ctx.set_line_state(node, addr, LineState::V);
+        }
+        ctx.complete(node, addr, OpKind::Write);
+    }
+
+    fn handle_replace_inv(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr) {
+        match ctx.line_state(node, addr) {
+            LineState::V => {
+                ctx.note(ProtoEvent::ReplacementInvalidation);
+                self.disband(ctx, node, addr);
+                ctx.set_line_state(node, addr, LineState::Iv);
+            }
+            // Update mode: the kill crossed our in-flight update grant. The
+            // parent edge that led here is gone (an update wave consumes it
+            // as a zombie), so the copy the grant is about to validate
+            // would be unreachable from the roots. Ignoring the kill would
+            // leak a live orphan; defer it to grant time instead.
+            LineState::WmIp if self.updates(addr) => {
+                self.pending_kill.insert((node, addr));
+            }
+            // Otherwise a transient, invalid or exclusive line is no longer
+            // the copy the stale parent thought it was killing.
+            _ => {}
+        }
+    }
+
+    fn handle_repl_notify(&mut self, addr: Addr, src: NodeId) {
         // Ablation policy E12: clear a stale root pointer eagerly.
         if let Some(e) = self.entries.get_mut(&addr) {
             for p in e.ptrs.iter_mut() {
@@ -841,89 +1155,27 @@ impl DirTree {
             }
         }
     }
-}
 
-impl Protocol for DirTree {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::DirTree {
-            pointers: self.pointers,
-            arity: self.arity,
-        }
-    }
-
-    fn start_miss(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind) {
-        let home = ctx.home_of(addr);
-        let kind = match op {
-            OpKind::Read => MsgKind::ReadReq { requester: node },
-            OpKind::Write => MsgKind::WriteReq { requester: node },
-        };
-        ctx.send(
-            home,
-            Msg {
-                addr,
-                src: node,
-                kind,
-            },
-        );
-    }
-
-    fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
+    fn dispatch(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
         let addr = msg.addr;
         match msg.kind {
             MsgKind::ReadReq { .. } => self.handle_read_req(ctx, node, msg),
             MsgKind::WriteReq { .. } => self.handle_write_req(ctx, node, msg),
             MsgKind::WbData { .. } => self.handle_wb(ctx, node, addr, msg.src, false),
             MsgKind::WbEvict => self.handle_wb(ctx, node, addr, msg.src, true),
-            MsgKind::InvAck { dir: true } => self.handle_inv_ack_home(ctx, node, addr),
+            MsgKind::InvAck { dir: true } => self.handle_home_ack(ctx, node, addr, false),
+            MsgKind::UpdateAck { dir: true } => self.handle_home_ack(ctx, node, addr, true),
             MsgKind::FillAck => self.finish_txn(ctx, node, addr),
-            MsgKind::InvAck { dir: false } => self.handle_inv_ack_cache(ctx, node, addr),
+            MsgKind::InvAck { dir: false } => self.handle_cache_ack(ctx, node, addr, false),
+            MsgKind::UpdateAck { dir: false } => self.handle_cache_ack(ctx, node, addr, true),
             MsgKind::ReadReply { .. } => self.handle_read_reply(ctx, node, msg),
             MsgKind::WriteReply { kill_self_subtree } => {
-                debug_assert_eq!(ctx.line_state(node, addr), LineState::WmIp);
-                let mut kids = if kill_self_subtree {
-                    self.children.remove(&(node, addr)).unwrap_or_default()
-                } else {
-                    // Any children the writer had were killed when the
-                    // invalidation reached it through the forest (before
-                    // its subtree acked, hence before this grant).
-                    debug_assert!(self.children_of(node, addr).is_empty());
-                    Vec::new()
-                };
-                // A subtree this writer disbanded earlier (silent
-                // replacement, then re-miss) may still have its
-                // `ReplaceInv`s in flight: re-kill it with acknowledged
-                // invalidations so the write cannot complete first.
-                for z in self.zombies.remove(&(node, addr)).unwrap_or_default() {
-                    if !kids.contains(&z) {
-                        kids.push(z);
-                    }
-                }
-                if kids.is_empty() {
-                    ctx.set_line_state(node, addr, LineState::E);
-                    ctx.complete(node, addr, OpKind::Write);
-                } else {
-                    // Kill our own subtree before the write completes.
-                    ctx.set_line_state(node, addr, LineState::WmLip);
-                    self.collectors
-                        .open(node, addr, node, false, kids.len() as u32);
-                    for k in kids {
-                        ctx.send(
-                            k,
-                            Msg {
-                                addr,
-                                src: node,
-                                kind: MsgKind::Inv {
-                                    also: None,
-                                    from_dir: false,
-                                },
-                            },
-                        );
-                    }
-                }
+                self.handle_write_reply(ctx, node, addr, kill_self_subtree)
             }
-            MsgKind::Inv { .. } => self.handle_inv(ctx, node, msg),
+            MsgKind::UpdateGrant { adopt } => self.handle_update_grant(ctx, node, addr, adopt),
+            MsgKind::Inv { .. } | MsgKind::Update { .. } => self.handle_wave(ctx, node, msg),
             MsgKind::ReplaceInv => self.handle_replace_inv(ctx, node, addr),
-            MsgKind::ReplNotify => self.handle_repl_notify(ctx, addr, msg.src),
+            MsgKind::ReplNotify => self.handle_repl_notify(addr, msg.src),
             MsgKind::WbReq { for_op, requester } => {
                 use crate::types::LineState as S;
                 match ctx.line_state(node, addr) {
@@ -941,7 +1193,23 @@ impl Protocol for DirTree {
         }
     }
 
-    fn evict(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, state: LineState) {
+    fn send_request(ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind) {
+        let home = ctx.home_of(addr);
+        let kind = match op {
+            OpKind::Read => MsgKind::ReadReq { requester: node },
+            OpKind::Write => MsgKind::WriteReq { requester: node },
+        };
+        ctx.send(
+            home,
+            Msg {
+                addr,
+                src: node,
+                kind,
+            },
+        );
+    }
+
+    fn evict_line(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, state: LineState) {
         match state {
             LineState::V => {
                 self.disband(ctx, node, addr);
@@ -958,6 +1226,10 @@ impl Protocol for DirTree {
                 }
             }
             LineState::E => {
+                debug_assert!(
+                    !self.updates(addr),
+                    "exclusive copy of an update-mode block"
+                );
                 let home = ctx.home_of(addr);
                 ctx.send(
                     home,
@@ -971,10 +1243,85 @@ impl Protocol for DirTree {
             other => unreachable!("evicting line in state {other:?}"),
         }
     }
+}
+
+impl Protocol for DirTree {
+    fn kind(&self) -> ProtocolKind {
+        let (pointers, arity) = (self.pointers, self.arity);
+        match self.policy {
+            Policy::Invalidate => ProtocolKind::DirTree { pointers, arity },
+            Policy::Update => ProtocolKind::DirTreeUpdate { pointers, arity },
+            Policy::Adaptive(_) => ProtocolKind::DirTreeAdaptive { pointers, arity },
+        }
+    }
+
+    fn is_update(&self) -> bool {
+        matches!(self.policy, Policy::Update)
+    }
+
+    fn is_update_for(&self, addr: Addr) -> bool {
+        self.updates(addr)
+    }
+
+    fn wants_read_hits(&self) -> bool {
+        matches!(self.policy, Policy::Adaptive(_))
+    }
+
+    fn note_read_hit(&mut self, node: NodeId, addr: Addr) {
+        if let Policy::Adaptive(a) = &mut self.policy {
+            debug_assert!(a.nodes > 0, "read hit before any miss");
+            a.detector.record_read(addr, node, a.nodes);
+        }
+    }
+
+    fn note_op_retired(&mut self, _node: NodeId, addr: Addr, _op: OpKind) {
+        if let Policy::Adaptive(a) = &mut self.policy {
+            release(&mut a.drain.pending_retire, addr);
+        }
+    }
+
+    fn start_miss(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, op: OpKind) {
+        self.counted(ctx, |_, c| Self::send_request(c, node, addr, op));
+    }
+
+    fn handle(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, msg: Msg) {
+        let Policy::Adaptive(a) = &mut self.policy else {
+            return self.dispatch(ctx, node, msg);
+        };
+        let addr = msg.addr;
+        a.nodes = ctx.num_nodes();
+        release(&mut a.drain.inflight, addr);
+        // Fresh requests at the home feed the detector and may flip the
+        // block before it is served. Reads are recorded even when the
+        // transaction gate will defer the request (the reader set is
+        // idempotent); writes are classified only on an idle block, so each
+        // write transaction closes exactly one interval.
+        match msg.kind {
+            MsgKind::ReadReq { requester } => {
+                a.detector.record_read(addr, requester, a.nodes);
+                self.maybe_flip(ctx, addr, None);
+            }
+            MsgKind::WriteReq { requester } => self.maybe_flip(ctx, addr, Some(requester)),
+            _ => {}
+        }
+        self.counted(ctx, |p, c| p.dispatch(c, node, msg));
+    }
+
+    fn evict(&mut self, ctx: &mut dyn ProtoCtx, node: NodeId, addr: Addr, state: LineState) {
+        self.counted(ctx, |p, c| p.evict_line(c, node, addr, state));
+    }
 
     fn dir_bits_per_mem_block(&self, nodes: u32) -> u64 {
-        // i pointers, each (node id + level) ≈ 2·log n bits, plus dirty.
-        2 * self.pointers as u64 * ptr_bits(nodes) + 1
+        // i pointers, each (node id + level) ≈ 2·log n bits.
+        let tree = 2 * self.pointers as u64 * ptr_bits(nodes);
+        match self.policy {
+            // Plus the dirty bit; update mode has no exclusive state.
+            Policy::Invalidate => tree + 1,
+            Policy::Update => tree,
+            // Plus the detector state: reader bitset, last-writer pointer,
+            // 4-bit saturating score, and the mode bit.
+            Policy::Adaptive(_) => tree + 1 + nodes as u64 + ptr_bits(nodes) + 5,
+        }
     }
 
     fn cache_bits_per_line(&self, nodes: u32) -> u64 {
@@ -987,13 +1334,20 @@ impl Protocol for DirTree {
     }
 
     fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
-        use crate::fingerprint::digest_map;
+        use crate::fingerprint::{digest_map, digest_set};
         digest_map(h, &self.entries);
         self.gate.digest(h);
         digest_map(h, &self.children);
         digest_map(h, &self.zombies);
         self.collectors.digest(h);
         digest_map(h, &self.pending_wb);
+        digest_set(h, &self.pending_kill);
+        if let Policy::Adaptive(a) = &self.policy {
+            digest_set(h, &a.update_mode);
+            digest_map(h, &a.drain.inflight);
+            digest_map(h, &a.drain.pending_retire);
+            a.detector.digest(h);
+        }
     }
 
     fn relabeled(&self, perm: &[NodeId]) -> Option<Box<dyn Protocol>> {
@@ -1013,18 +1367,21 @@ impl Protocol for DirTree {
     /// * cache-side child lists hold ≤ `k` distinct children, never the
     ///   node itself;
     /// * zombie (disbanded-subtree) edge lists hold distinct valid nodes,
-    ///   never the node itself.
+    ///   never the node itself;
+    /// * no update-mode block has an exclusive copy.
     ///
     /// Checked only at **quiescence** (no message in flight — mid-
     /// transaction these are legitimately violated, e.g. while a recalled
     /// owner's data is on the wire):
-    /// * no ack collector or home transaction is left open;
+    /// * no ack collector, home transaction, pending write or deferred
+    ///   kill is left open, and the adaptive drain counters are zero;
     /// * `dirty` entries have an empty forest, no child or zombie edges
     ///   (the granting wave drains both), and the recorded owner exclusive;
-    /// * clean blocks have no exclusive copy, and every valid copy is
+    /// * for every other block in play — with or without a directory
+    ///   entry — there is no exclusive copy, and every valid copy is
     ///   reachable from the recorded roots through child and zombie
-    ///   pointers — a sharer the forest cannot see would silently survive
-    ///   the next write invalidation.
+    ///   pointers: a sharer the forest cannot see would silently survive
+    ///   (or miss) the next write wave.
     ///
     /// Note the *absence* of a height-vs-level claim: recorded levels are
     /// upper bounds at insertion time, and silent replacement + rejoin can
@@ -1037,51 +1394,30 @@ impl Protocol for DirTree {
         quiescent: bool,
     ) -> Result<(), String> {
         let nodes = ctx.num_nodes();
-        for (&(node, addr), kids) in &self.children {
-            if kids.len() > self.arity as usize {
-                return Err(format!(
-                    "node {node} holds {} children for {addr:#x}, arity is {}",
-                    kids.len(),
-                    self.arity
-                ));
-            }
-            let mut seen = kids.clone();
-            seen.sort_unstable();
-            seen.dedup();
-            if seen.len() != kids.len() {
-                return Err(format!(
-                    "duplicate child pointer at node {node} for {addr:#x}"
-                ));
-            }
-            if kids.contains(&node) {
-                return Err(format!(
-                    "self-loop child pointer at node {node} for {addr:#x}"
-                ));
-            }
-            if kids.iter().any(|&k| k >= nodes) {
-                return Err(format!(
-                    "out-of-range child pointer at node {node} for {addr:#x}"
-                ));
-            }
-        }
-        for (&(node, addr), kids) in &self.zombies {
-            let mut seen = kids.clone();
-            seen.sort_unstable();
-            seen.dedup();
-            if seen.len() != kids.len() {
-                return Err(format!(
-                    "duplicate zombie edge at node {node} for {addr:#x}"
-                ));
-            }
-            if kids.contains(&node) {
-                return Err(format!(
-                    "self-loop zombie edge at node {node} for {addr:#x}"
-                ));
-            }
-            if kids.iter().any(|&k| k >= nodes) {
-                return Err(format!(
-                    "out-of-range zombie edge at node {node} for {addr:#x}"
-                ));
+        let edge_maps = [
+            ("child pointer", &self.children, self.arity as usize),
+            ("zombie edge", &self.zombies, usize::MAX),
+        ];
+        for (what, map, max) in edge_maps {
+            for (&(node, addr), kids) in map {
+                if kids.len() > max {
+                    return Err(format!(
+                        "node {node} holds {} children for {addr:#x}, arity is {}",
+                        kids.len(),
+                        self.arity
+                    ));
+                }
+                for (i, k) in kids.iter().enumerate() {
+                    if *k == node {
+                        return Err(format!("self-loop {what} at node {node} for {addr:#x}"));
+                    }
+                    if *k >= nodes {
+                        return Err(format!("out-of-range {what} at node {node} for {addr:#x}"));
+                    }
+                    if kids[..i].contains(k) {
+                        return Err(format!("duplicate {what} at node {node} for {addr:#x}"));
+                    }
+                }
             }
         }
         for (&addr, e) in &self.entries {
@@ -1092,20 +1428,25 @@ impl Protocol for DirTree {
                     self.pointers
                 ));
             }
-            let roots: Vec<Ptr> = e.ptrs.iter().flatten().copied().collect();
-            for p in &roots {
+            let mut roots: Vec<NodeId> = Vec::new();
+            for p in e.ptrs.iter().flatten() {
                 if p.node >= nodes {
                     return Err(format!("pointer at {addr:#x} references node {}", p.node));
                 }
                 if p.level == 0 {
                     return Err(format!("pointer at {addr:#x} has level 0"));
                 }
+                if roots.contains(&p.node) {
+                    return Err(format!("duplicate root pointer at {addr:#x}"));
+                }
+                roots.push(p.node);
             }
-            let mut root_nodes: Vec<NodeId> = roots.iter().map(|p| p.node).collect();
-            root_nodes.sort_unstable();
-            root_nodes.dedup();
-            if root_nodes.len() != roots.len() {
-                return Err(format!("duplicate root pointer at {addr:#x}"));
+        }
+        for &addr in addrs.iter().filter(|&&a| self.updates(a)) {
+            if let Some(n) = (0..nodes).find(|&n| ctx.line_state(n, addr) == LineState::E) {
+                return Err(format!(
+                    "update-mode block {addr:#x} has an exclusive copy at {n}"
+                ));
             }
         }
         if !quiescent {
@@ -1123,11 +1464,33 @@ impl Protocol for DirTree {
                 self.gate.open_transactions()
             ));
         }
+        if let Some((&addr, _)) = self
+            .entries
+            .iter()
+            .find(|(_, e)| e.pending.is_some() || e.wait_acks != 0)
+        {
+            return Err(format!("quiescent but write pending for {addr:#x}"));
+        }
+        if let Some((node, addr)) = self.pending_kill.iter().next() {
+            return Err(format!(
+                "quiescent but deferred kill at {node} for {addr:#x}"
+            ));
+        }
+        if let Policy::Adaptive(a) = &self.policy {
+            if let Some((&addr, &c)) = a.drain.inflight.iter().next() {
+                return Err(format!(
+                    "quiescent but {c} in-flight messages counted for {addr:#x}"
+                ));
+            }
+            if let Some((&addr, &c)) = a.drain.pending_retire.iter().next() {
+                return Err(format!(
+                    "quiescent but {c} unretired completions counted for {addr:#x}"
+                ));
+            }
+        }
         for &addr in addrs {
-            let Some(e) = self.entries.get(&addr) else {
-                continue;
-            };
-            if e.dirty {
+            let entry = self.entries.get(&addr);
+            if let Some(e) = entry.filter(|e| e.dirty) {
                 if e.ptrs.iter().any(Option::is_some) {
                     return Err(format!("dirty block {addr:#x} still records roots"));
                 }
@@ -1137,35 +1500,23 @@ impl Protocol for DirTree {
                         e.owner
                     ));
                 }
-                if self
-                    .children
-                    .iter()
-                    .any(|(&(_, a), k)| a == addr && !k.is_empty())
-                {
-                    return Err(format!("dirty block {addr:#x} still has child edges"));
-                }
-                if self
-                    .zombies
-                    .iter()
-                    .any(|(&(_, a), k)| a == addr && !k.is_empty())
-                {
-                    return Err(format!("dirty block {addr:#x} still has zombie edges"));
+                for (what, map) in [("child", &self.children), ("zombie", &self.zombies)] {
+                    if map.iter().any(|(&(_, a), k)| a == addr && !k.is_empty()) {
+                        return Err(format!("dirty block {addr:#x} still has {what} edges"));
+                    }
                 }
                 continue;
             }
             // Clean block: no exclusive copy, and every valid copy must be
             // reachable from the recorded roots.
-            let mut reachable: Vec<NodeId> = Vec::new();
-            let mut frontier: Vec<NodeId> = self
-                .entries
-                .get(&addr)
+            let mut reach = vec![false; nodes as usize];
+            let mut frontier: Vec<NodeId> = entry
                 .map(|e| e.ptrs.iter().flatten().map(|p| p.node).collect())
                 .unwrap_or_default();
             while let Some(n) = frontier.pop() {
-                if reachable.contains(&n) {
+                if std::mem::replace(&mut reach[n as usize], true) {
                     continue;
                 }
-                reachable.push(n);
                 frontier.extend_from_slice(self.children_of(n, addr));
                 frontier.extend_from_slice(self.zombies_of(n, addr));
             }
@@ -1176,7 +1527,7 @@ impl Protocol for DirTree {
                             "clean block {addr:#x} has an exclusive copy at node {n}"
                         ));
                     }
-                    LineState::V if !reachable.contains(&n) => {
+                    LineState::V if !reach[n as usize] => {
                         return Err(format!(
                             "valid copy at node {n} for {addr:#x} unreachable from the forest"
                         ));
@@ -1191,7 +1542,7 @@ impl Protocol for DirTree {
 
 /// Relabel a per-`(node, addr)` edge map (children / zombies) through
 /// `perm`, preserving each edge list's order.
-pub(crate) fn relabel_edges(
+fn relabel_edges(
     map: &FxHashMap<(NodeId, Addr), Vec<NodeId>>,
     perm: &[NodeId],
 ) -> FxHashMap<(NodeId, Addr), Vec<NodeId>> {
@@ -1207,23 +1558,35 @@ pub(crate) fn relabel_edges(
 
 impl DirTree {
     /// Node-relabeled clone ([`Protocol::relabeled`]). Every decision the
-    /// protocol makes — slot selection, level comparison, wave pairing
-    /// (`slot += 2`), push-down target — is a function of slot indices and
-    /// levels, never of node-id magnitude, so element-wise mapping of ids
-    /// (preserving slot and edge-list order) is an exact equivariance.
-    /// `wave_scratch` is cleared before every use and is not protocol
-    /// state, so the clone starts with it empty.
-    pub(crate) fn relabeled_concrete(&self, perm: &[NodeId]) -> DirTree {
+    /// protocol makes — slot selection, level comparison, wave pairing,
+    /// push-down target, the detector's classification — is a function of
+    /// slot indices, levels and id *equality*, never of node-id magnitude,
+    /// so element-wise mapping of ids (preserving slot and edge-list order)
+    /// is an exact equivariance. Mode bits and drain counts are keyed by
+    /// address only. `wave_scratch` is cleared before every use and is not
+    /// protocol state, so the clone starts with it empty.
+    fn relabeled_concrete(&self, perm: &[NodeId]) -> DirTree {
         let relabel_ptr = |p: &Option<Ptr>| {
             p.map(|p| Ptr {
                 node: perm[p.node as usize],
                 level: p.level,
             })
         };
+        let policy = match &self.policy {
+            Policy::Invalidate => Policy::Invalidate,
+            Policy::Update => Policy::Update,
+            Policy::Adaptive(a) => Policy::Adaptive(Box::new(Adaptive {
+                detector: a.detector.relabeled(perm),
+                update_mode: a.update_mode.clone(),
+                drain: a.drain.clone(),
+                nodes: a.nodes,
+            })),
+        };
         DirTree {
             pointers: self.pointers,
             arity: self.arity,
             params: self.params,
+            policy,
             entries: self
                 .entries
                 .iter()
@@ -1250,6 +1613,11 @@ impl DirTree {
                 .pending_wb
                 .iter()
                 .map(|(&(n, a), &(op, req))| ((perm[n as usize], a), (op, perm[req as usize])))
+                .collect(),
+            pending_kill: self
+                .pending_kill
+                .iter()
+                .map(|&(n, a)| (perm[n as usize], a))
                 .collect(),
             wave_scratch: Vec::new(),
         }
@@ -1637,6 +2005,404 @@ mod tests {
             ctx.write(&mut p, round, A);
             ctx.assert_swmr(A);
             assert_eq!(ctx.holders(A), vec![round]);
+        }
+    }
+
+    #[test]
+    fn valid_copy_without_a_directory_entry_is_an_invariant_violation() {
+        // A valid line the home has no entry for is unreachable from any
+        // root; the quiescent reachability check must cover such blocks
+        // too (the adaptive flip removes root-less entries, so blocks
+        // without one are a real case).
+        let (mut ctx, mut p) = setup(4, 2);
+        ctx.begin_miss(&mut p, 1, A, OpKind::Read); // request never delivered
+        ctx.set_line_state(1, A, LineState::V);
+        let err = p.check_invariants(&ctx, &[A], true).unwrap_err();
+        assert!(err.contains("unreachable"), "{err}");
+    }
+
+    mod update {
+        use super::*;
+
+        fn setup(nodes: u32) -> (MockCtx, DirTree) {
+            (
+                MockCtx::new(nodes),
+                DirTree::new_update(4, 2, ProtocolParams::default()),
+            )
+        }
+
+        /// An update-policy write via the mock (the MockCtx `write` helper
+        /// asserts E, which does not exist here).
+        fn do_write(ctx: &mut MockCtx, p: &mut DirTree, node: u32) {
+            let before = ctx.completed.len();
+            ctx.begin_miss(p, node, A, OpKind::Write);
+            ctx.run(p);
+            assert!(
+                ctx.completed[before..].contains(&(node, A, OpKind::Write)),
+                "write by {node} did not complete"
+            );
+            assert_eq!(ctx.line_state(node, A), LineState::V, "writer stays valid");
+        }
+
+        #[test]
+        fn read_misses_cost_two_messages_like_invalidate_policy() {
+            let (mut ctx, mut p) = setup(32);
+            for n in 1..=10 {
+                let mark = ctx.mark();
+                ctx.read(&mut p, n, A);
+                assert_eq!(ctx.critical_since(mark), 2);
+            }
+        }
+
+        #[test]
+        fn writes_leave_all_copies_valid() {
+            let (mut ctx, mut p) = setup(32);
+            for n in 1..=6 {
+                ctx.read(&mut p, n, A);
+            }
+            do_write(&mut ctx, &mut p, 9);
+            for n in 1..=6 {
+                assert_eq!(
+                    ctx.line_state(n, A),
+                    LineState::V,
+                    "update must not kill node {n}"
+                );
+            }
+            assert_eq!(ctx.holders(A).len(), 7, "writer joins the sharers");
+        }
+
+        #[test]
+        fn forest_shape_matches_invalidate_policy() {
+            let (mut ctx, mut p) = setup(32);
+            for n in 1..=14 {
+                ctx.read(&mut p, n, A);
+            }
+            ctx.read(&mut p, 15, A);
+            assert_eq!(p.children_of(15, A), &[11, 13], "Figure 5 shape preserved");
+        }
+
+        #[test]
+        fn ternary_merge_adopts_three_equal_height_roots() {
+            // i = 3, k = 3: three readers fill the pointers at level 1, and
+            // the fourth adopts all three — the same k-way merge as the
+            // invalidate policy, not a pairwise one.
+            let mut p = DirTree::new_update(3, 3, ProtocolParams::default());
+            let mut ctx = MockCtx::new(8);
+            for n in 1..=4 {
+                ctx.read(&mut p, n, A);
+            }
+            assert_eq!(p.children_of(4, A), &[1, 2, 3]);
+            assert_eq!(
+                p.forest(A),
+                vec![Some(Ptr { node: 4, level: 2 }), None, None]
+            );
+            let mut inv = DirTree::new(3, 3, ProtocolParams::default());
+            let mut inv_ctx = MockCtx::new(8);
+            for n in 1..=4 {
+                inv_ctx.read(&mut inv, n, A);
+            }
+            assert_eq!(p.forest(A), inv.forest(A));
+            do_write(&mut ctx, &mut p, 5);
+            assert_eq!(ctx.holders(A), vec![1, 2, 3, 4, 5]);
+        }
+
+        #[test]
+        fn every_sharer_receives_every_update() {
+            let (mut ctx, mut p) = setup(32);
+            for n in 1..=8 {
+                ctx.read(&mut p, n, A);
+            }
+            let mark = ctx.mark();
+            do_write(&mut ctx, &mut p, 4); // writer inside the forest
+            let updates = ctx
+                .sent_since(mark)
+                .iter()
+                .filter(|(_, m)| matches!(m.kind, MsgKind::Update { .. }))
+                .count();
+            assert_eq!(updates, 8, "one update per recorded sharer");
+        }
+
+        #[test]
+        fn repeated_writes_by_same_node_each_pay_a_transaction() {
+            let (mut ctx, mut p) = setup(32);
+            do_write(&mut ctx, &mut p, 3);
+            let mark = ctx.mark();
+            do_write(&mut ctx, &mut p, 3);
+            // req + self-update + ack + grant: the no-E price.
+            assert!(ctx.critical_since(mark) >= 4);
+        }
+
+        #[test]
+        fn silent_replacement_then_update_is_safe() {
+            // Two pointers so the third read merges: 3 -> {1, 2}.
+            let mut p = DirTree::new_update(2, 2, ProtocolParams::default());
+            let mut ctx = MockCtx::new(32);
+            for n in 1..=3 {
+                ctx.read(&mut p, n, A);
+            }
+            assert_eq!(p.children_of(3, A), &[1, 2]);
+            ctx.evict(&mut p, 3, A); // kills 1 and 2 silently
+            do_write(&mut ctx, &mut p, 5);
+            assert!(!ctx.line_state(1, A).readable());
+            assert!(!ctx.line_state(2, A).readable());
+            assert_eq!(ctx.line_state(5, A), LineState::V);
+        }
+
+        #[test]
+        fn disband_retains_zombie_edges_until_wave_retraverses() {
+            let mut p = DirTree::new_update(2, 2, ProtocolParams::default());
+            let mut ctx = MockCtx::new(32);
+            for n in 1..=3 {
+                ctx.read(&mut p, n, A);
+            }
+            assert_eq!(p.children_of(3, A), &[1, 2]);
+            ctx.evict(&mut p, 3, A);
+            assert_eq!(
+                p.zombies_of(3, A),
+                &[1, 2],
+                "disbanded edges are retained as zombies"
+            );
+            do_write(&mut ctx, &mut p, 5);
+            assert!(
+                p.zombies.is_empty(),
+                "the acked update wave consumes zombie edges"
+            );
+            assert!(!ctx.line_state(1, A).readable());
+            assert!(!ctx.line_state(2, A).readable());
+        }
+
+        #[test]
+        fn pairing_bounds_home_acks() {
+            let (mut ctx, mut p) = setup(32);
+            for n in 1..=8 {
+                ctx.read(&mut p, n, A);
+            }
+            let mark = ctx.mark();
+            do_write(&mut ctx, &mut p, 9);
+            let home_acks = ctx
+                .sent_since(mark)
+                .iter()
+                .filter(|(_, m)| matches!(m.kind, MsgKind::UpdateAck { dir: true }))
+                .count();
+            assert!(
+                home_acks <= 2,
+                "pairing should bound home acks, got {home_acks}"
+            );
+        }
+
+        #[test]
+        fn memory_formula_has_no_dirty_bit() {
+            let p = DirTree::new_update(4, 2, ProtocolParams::default());
+            assert_eq!(p.dir_bits_per_mem_block(32), 40);
+            assert!(p.is_update() && p.is_update_for(A));
+        }
+    }
+
+    mod adaptive {
+        use super::*;
+
+        const P: u32 = 16;
+
+        fn adaptive() -> DirTree {
+            DirTree::new_adaptive(4, 2, ProtocolParams::default())
+        }
+
+        /// Mirror the machine: confirm retirement of every completion the
+        /// mock logged since `from` (MockCtx itself has no retirement
+        /// notion).
+        fn retire(ctx: &MockCtx, p: &mut DirTree, from: usize) {
+            for (n, a, op) in ctx.completed[from..].iter().copied() {
+                p.note_op_retired(n, a, op);
+            }
+        }
+
+        /// A read that mirrors the machine's hit path: hits feed
+        /// `note_read_hit`, misses run to completion and retire.
+        fn do_read(ctx: &mut MockCtx, p: &mut DirTree, node: NodeId, addr: Addr) {
+            if ctx.line_state(node, addr).readable() {
+                p.note_read_hit(node, addr);
+                return;
+            }
+            let m = ctx.completed.len();
+            ctx.read(p, node, addr);
+            retire(ctx, p, m);
+        }
+
+        /// A write that runs to completion under either mode and retires;
+        /// returns the writer's final line state.
+        fn do_write(ctx: &mut MockCtx, p: &mut DirTree, node: NodeId, addr: Addr) -> LineState {
+            if ctx.line_state(node, addr).writable() {
+                return ctx.line_state(node, addr);
+            }
+            let m = ctx.completed.len();
+            ctx.begin_miss(p, node, addr, OpKind::Write);
+            ctx.run(p);
+            assert!(
+                ctx.completed[m..].contains(&(node, addr, OpKind::Write)),
+                "write by {node} did not complete"
+            );
+            retire(ctx, p, m);
+            ctx.line_state(node, addr)
+        }
+
+        #[test]
+        fn read_mostly_block_flips_to_update_and_keeps_copies_valid() {
+            let (mut ctx, mut p) = (MockCtx::new(P), adaptive());
+            // Interval 1: eight readers (half the machine), then a write.
+            // The score reaches +1 — still invalidate mode, so the write
+            // kills every reader and leaves the writer exclusive.
+            for n in 1..=8 {
+                do_read(&mut ctx, &mut p, n, A);
+            }
+            assert_eq!(do_write(&mut ctx, &mut p, 0, A), LineState::E);
+            assert!(!p.is_update_for(A));
+            assert_eq!(ctx.holders(A), vec![0]);
+            // Interval 2: same pattern. Score reaches +2 = flip threshold;
+            // the write is served in update mode and every copy stays
+            // valid.
+            for n in 1..=8 {
+                do_read(&mut ctx, &mut p, n, A);
+            }
+            assert_eq!(do_write(&mut ctx, &mut p, 0, A), LineState::V);
+            assert!(p.is_update_for(A));
+            assert_eq!(ctx.holders(A).len(), 9, "8 readers + writer all valid");
+            ctx.assert_swmr(A);
+        }
+
+        #[test]
+        fn private_rmw_stays_invalidate_with_exclusive_owner() {
+            let (mut ctx, mut p) = (MockCtx::new(P), adaptive());
+            assert_eq!(do_write(&mut ctx, &mut p, 3, A), LineState::E);
+            for _ in 0..10 {
+                // Write hits on the exclusive copy: no traffic at all.
+                let mark = ctx.mark();
+                assert_eq!(do_write(&mut ctx, &mut p, 3, A), LineState::E);
+                assert_eq!(ctx.sent_since(mark).len(), 0);
+            }
+            assert!(!p.is_update_for(A));
+        }
+
+        #[test]
+        fn migratory_token_stays_invalidate() {
+            let (mut ctx, mut p) = (MockCtx::new(P), adaptive());
+            do_write(&mut ctx, &mut p, 0, A);
+            for hop in 1..8 {
+                do_read(&mut ctx, &mut p, hop, A);
+                assert_eq!(do_write(&mut ctx, &mut p, hop, A), LineState::E);
+            }
+            assert!(!p.is_update_for(A));
+            assert!(p.score(A) < 0);
+        }
+
+        #[test]
+        fn update_block_flips_back_when_pattern_turns_write_shared() {
+            let (mut ctx, mut p) = (MockCtx::new(P), adaptive());
+            for _ in 0..2 {
+                for n in 1..=8 {
+                    do_read(&mut ctx, &mut p, n, A);
+                }
+                do_write(&mut ctx, &mut p, 0, A);
+            }
+            assert!(p.is_update_for(A));
+            // Ping-pong writes with no reads: write-shared, score falls
+            // from +2; at -2 the block flips back mid-stream and that write
+            // runs as an invalidation wave over the same tree.
+            let mut final_state = LineState::V;
+            for i in 0..4 {
+                final_state = do_write(&mut ctx, &mut p, 5 + (i % 2), A);
+            }
+            assert!(!p.is_update_for(A), "flipped back to invalidate");
+            assert_eq!(final_state, LineState::E, "last write ran as invalidate");
+            assert_eq!(ctx.holders(A).len(), 1, "the tree was invalidated");
+            ctx.assert_swmr(A);
+        }
+
+        #[test]
+        fn flip_keeps_the_whole_forest_updates_reach_every_sharer() {
+            let (mut ctx, mut p) = (MockCtx::new(32), adaptive());
+            // Figure-5 style forest: 15 sharers with real tree depth, built
+            // under invalidate mode across two read-mostly intervals.
+            for _ in 0..2 {
+                for n in 1..=15 {
+                    do_read(&mut ctx, &mut p, n, A);
+                }
+                do_write(&mut ctx, &mut p, 16, A);
+            }
+            assert!(p.is_update_for(A));
+            for n in 1..=15 {
+                do_read(&mut ctx, &mut p, n, A);
+            }
+            // One more write in update mode: every one of the 15 sharers
+            // must receive an Update — possible only if the child edges
+            // built under invalidate mode survived the flip intact.
+            let mark = ctx.mark();
+            do_write(&mut ctx, &mut p, 16, A);
+            let updates = ctx
+                .sent_since(mark)
+                .iter()
+                .filter(|(_, m)| matches!(m.kind, MsgKind::Update { .. }))
+                .count();
+            assert!(updates >= 15, "updates reached {updates}/15+ sharers");
+            assert!(ctx.holders(A).len() >= 16);
+        }
+
+        /// Every node's child and zombie edges for `A`, for comparing the
+        /// forest across a flip.
+        fn edges(p: &DirTree, nodes: u32) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
+            (0..nodes)
+                .map(|n| (p.children_of(n, A).to_vec(), p.zombies_of(n, A).to_vec()))
+                .collect()
+        }
+
+        #[test]
+        fn flipped_block_keeps_its_forest_and_gets_a_normalised_entry() {
+            let (mut ctx, mut p) = (MockCtx::new(P), adaptive());
+            // Owner 9 writes, then a reader recalls it: 9 becomes a root
+            // and the entry keeps the stale `owner`. More readers build a
+            // merged tree; evicting its root leaves zombie edges.
+            do_write(&mut ctx, &mut p, 9, A);
+            for n in [10, 11, 12, 13] {
+                do_read(&mut ctx, &mut p, n, A);
+            }
+            assert_eq!(p.children_of(13, A), &[9, 10]);
+            ctx.evict(&mut p, 13, A);
+            assert_eq!(p.zombies_of(13, A), &[9, 10]);
+            assert_eq!(p.entries[&A].owner, 9);
+            let (forest, before) = (p.forest(A), edges(&p, P));
+            p.flip(&mut ctx, A);
+            assert!(p.is_update_for(A));
+            assert_eq!(p.forest(A), forest, "roots stay");
+            assert_eq!(edges(&p, P), before, "child and zombie edges stay");
+            let e = &p.entries[&A];
+            assert_eq!(e.owner, 0, "stale owner dropped");
+            assert!(!e.dirty && e.pending.is_none() && e.wait_acks == 0);
+            assert!(!e.wait_wb && !e.grant_self_root);
+            p.check_invariants(&ctx, &[A], true).unwrap();
+            // A block whose forest is empty loses its entry at the flip.
+            p.flip(&mut ctx, A);
+            do_write(&mut ctx, &mut p, 5, A);
+            assert!(p.forest(A).iter().all(Option::is_none));
+            ctx.evict(&mut p, 5, A);
+            p.flip(&mut ctx, A);
+            assert!(!p.entries.contains_key(&A), "root-less entry removed");
+            p.check_invariants(&ctx, &[A], true).unwrap();
+        }
+
+        #[test]
+        fn forced_mid_stream_mode_bit_is_what_the_mutant_tests_exploit() {
+            let mut p = adaptive();
+            assert!(!p.is_update_for(A));
+            p.force_mode(A, true);
+            assert!(p.is_update_for(A));
+            p.force_mode(A, false);
+            assert!(!p.is_update_for(A));
+        }
+
+        #[test]
+        fn memory_formula_adds_the_detector() {
+            // Tree directory (41 bits at n = 32) + 32-bit reader set +
+            // 5-bit last writer + score and mode bit.
+            assert_eq!(adaptive().dir_bits_per_mem_block(32), 41 + 32 + 5 + 5);
         }
     }
 }

@@ -1,6 +1,8 @@
 //! Directory protocol implementations.
 //!
-//! * [`dir_tree`] — **the paper's contribution**, Dir<sub>i</sub>Tree<sub>k</sub>;
+//! * [`dir_tree`] — **the paper's contribution**, Dir<sub>i</sub>Tree<sub>k</sub>,
+//!   with invalidate, update and adaptive (per-block) write policies over
+//!   one sharer forest;
 //! * [`full_map`], [`limited`], [`limitless`] — bit-map family baselines;
 //! * [`singly`], [`sci`] — linked-list baselines;
 //! * [`stp`], [`sci_tree`] — tree-structured baselines;
@@ -9,7 +11,6 @@
 //!   invalidation-ack collector).
 
 pub mod dir_tree;
-pub mod dir_tree_update;
 pub mod full_map;
 pub mod limited;
 pub mod limitless;

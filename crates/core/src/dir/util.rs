@@ -56,11 +56,11 @@ impl TxnGate {
     }
 
     /// Any traffic for `addr` at all — an open transaction *or* deferred
-    /// requests awaiting redelivery. This is the adaptive hybrid's drain
-    /// check: between [`TxnGate::finish`] popping one deferred request and
-    /// its redelivery re-admitting, `busy` is clear while later arrivals
-    /// still sit in the queue; flipping the block's mode then would strand
-    /// them in an instance that never retires another transaction.
+    /// requests awaiting redelivery. This is part of the adaptive write
+    /// policy's drain check: between [`TxnGate::finish`] popping one
+    /// deferred request and its redelivery re-admitting, `busy` is clear
+    /// while later arrivals still sit in the queue, and a block must not
+    /// change write policy under them.
     pub fn has_traffic(&self, addr: Addr) -> bool {
         self.busy.contains(&addr) || self.waiting.contains_key(&addr)
     }

@@ -1,7 +1,9 @@
 //! # dirtree-core — cache coherence protocols
 //!
 //! The paper's contribution, **Dir<sub>i</sub>Tree<sub>k</sub>**
-//! ([`dir::dir_tree`]), plus every baseline it is evaluated against or
+//! ([`dir::dir_tree`]) — one sharer forest under an invalidate, update or
+//! adaptive per-block write policy, the last driven by the sharing-pattern
+//! detector in [`adapt`] — plus every baseline it is evaluated against or
 //! compared to:
 //!
 //! * [`dir::full_map`] — Dir<sub>n</sub>NB full bit-map directory,

@@ -83,11 +83,12 @@ pub enum ProtocolKind {
     Snoop,
     /// Extension: Dir_iTree_k with *update* writes instead of
     /// invalidations (§3 mentions the option; the paper evaluates only
-    /// the invalidation variant).
+    /// the invalidation policy) — the same forest, pinned to the update
+    /// write policy.
     DirTreeUpdate { pointers: u32, arity: u32 },
     /// Extension: the hybrid of the title — Dir_iTree_k with a per-block
-    /// sharing-pattern detector at the home that flips individual blocks
-    /// between invalidate and update write policy ([`crate::adapt`]).
+    /// sharing-pattern detector at the home ([`crate::adapt`]) that flips
+    /// individual blocks between the invalidate and update write policies.
     DirTreeAdaptive { pointers: u32, arity: u32 },
 }
 
@@ -302,11 +303,11 @@ pub fn build_protocol(kind: ProtocolKind, params: ProtocolParams) -> Box<dyn Pro
             Box::new(crate::dir::dir_tree::DirTree::new(pointers, arity, params))
         }
         ProtocolKind::DirTreeUpdate { pointers, arity } => Box::new(
-            crate::dir::dir_tree_update::DirTreeUpdate::new(pointers, arity, params),
+            crate::dir::dir_tree::DirTree::new_update(pointers, arity, params),
         ),
-        ProtocolKind::DirTreeAdaptive { pointers, arity } => {
-            Box::new(crate::adapt::DirTreeAdaptive::new(pointers, arity, params))
-        }
+        ProtocolKind::DirTreeAdaptive { pointers, arity } => Box::new(
+            crate::dir::dir_tree::DirTree::new_adaptive(pointers, arity, params),
+        ),
         ProtocolKind::Snoop => Box::new(crate::dir::snoop::Snoop::new()),
     }
 }

@@ -12,7 +12,7 @@
 //! checksums, come from the recorder and are protocol-independent by
 //! construction. The stale-load oracle is the coherence witness
 //! (`verify: true` in `MachineConfig::test_default`): every member of
-//! [`ProtocolKind::figure_set`], the update-write variant and the adaptive
+//! [`ProtocolKind::figure_set`], the update write policy and the adaptive
 //! hybrid (whose per-block mode flips must be architecturally invisible)
 //! replay the same streams, and the witness panics on the first load any
 //! of them serves stale. Full-map is the timing baseline: every protocol
@@ -35,8 +35,22 @@ fn trace(seed: u64) -> PhasedTrace {
     }
 }
 
+/// Ternary update and adaptive trees: with three pointers and eight
+/// nodes, Figure-6 merges adopt three equal-height roots, so the k-way
+/// update waves run under the witness too.
+const TERNARY: [ProtocolKind; 2] = [
+    ProtocolKind::DirTreeUpdate {
+        pointers: 3,
+        arity: 3,
+    },
+    ProtocolKind::DirTreeAdaptive {
+        pointers: 3,
+        arity: 3,
+    },
+];
+
 /// The figure set plus the write-policy variants this repo adds: the
-/// update-write tree and the adaptive hybrid.
+/// update-write tree and the adaptive hybrid, binary and ternary.
 fn compared_set() -> Vec<ProtocolKind> {
     let mut kinds = ProtocolKind::figure_set();
     kinds.push(ProtocolKind::DirTreeUpdate {
@@ -47,6 +61,7 @@ fn compared_set() -> Vec<ProtocolKind> {
         pointers: 4,
         arity: 2,
     });
+    kinds.extend(TERNARY);
     kinds
 }
 
@@ -79,6 +94,9 @@ fn all_protocols_agree_on_a_seeded_random_trace() {
                 "{} retired a different op mix (seed {seed})",
                 kind.name()
             );
+            if TERNARY.contains(&kind) {
+                assert!(stats.tree_merges > 0, "{}: no merge fired", kind.name());
+            }
         }
     }
 }

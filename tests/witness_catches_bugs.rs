@@ -4,6 +4,7 @@
 //! means less.
 
 use dirtree::coherence::ctx::{ProtoCtx, ProtoEvent};
+use dirtree::coherence::dir::dir_tree::DirTree;
 use dirtree::coherence::msg::{Msg, MsgKind};
 use dirtree::coherence::protocol::{build_protocol, Protocol, ProtocolKind, ProtocolParams};
 use dirtree::coherence::types::{Addr, LineState, NodeId, OpKind};
@@ -200,12 +201,13 @@ mod model_checker_catches_mutants {
 
 /// A sabotaged adaptive hybrid: the first time the home launches an
 /// update wave for a block, the block's mode bit is forced back to
-/// invalidate *without* the drain check ([`DirTreeAdaptive::force_mode`]).
-/// The wave still completes — update traffic routes unambiguously — but
-/// the write now retires under invalidate semantics while every sharer
-/// kept a valid copy, which the SWMR witness must report.
+/// invalidate *without* the drain check ([`DirTree::force_mode`] on the
+/// adaptive write policy). The wave still completes — wave messages are
+/// handled by their kind, not by the block's mode — but the write now
+/// retires under invalidate semantics while every sharer kept a valid
+/// copy, which the SWMR witness must report.
 struct FlipMidWave {
-    inner: dirtree::coherence::adapt::DirTreeAdaptive,
+    inner: DirTree,
     fired: bool,
 }
 
@@ -219,7 +221,7 @@ impl FlipMidWave {
             ..ProtocolParams::default()
         };
         Self {
-            inner: dirtree::coherence::adapt::DirTreeAdaptive::new(4, 2, params),
+            inner: DirTree::new_adaptive(4, 2, params),
             fired: false,
         }
     }
