@@ -9,6 +9,10 @@
 # states/explored/deduped/sleep-pruned counts to
 # target/check_all/stats.jsonl; the P=2/P=3 rows must equal
 # tests/golden/check_roster_p23.jsonl, so a state-space change is a diff.
+# Then the experiment harness end to end: the P=64 scale-up and P=16
+# adaptive-ablation slices byte-compared with their goldens, and a
+# `reproduce_all --filter table` smoke run of the experiment registry
+# (Tables 1/3/4) plus a check that a filter matching nothing exits 2.
 # Run from the repository root; fails fast on the first problem.
 #
 #   ./ci.sh          default gate (~2-3 min of model checking: P=2, P=3,
@@ -84,3 +88,20 @@ timeout 300 ./target/release/adaptive_ablation \
   --filter P=16 --no-cache --jobs 2 --out-dir target/adaptive_smoke >/dev/null
 cmp target/adaptive_smoke/adaptive_ablation.jsonl tests/golden/adaptive_p16.jsonl
 echo "adaptive-smoke: records match tests/golden/adaptive_p16.jsonl"
+
+# Registry smoke: `reproduce_all --filter NAME` is the only way to run a
+# registry experiment, so run the cheap ones (Tables 1/3/4: closed-form
+# plus tiny scripted machine runs) through the real dispatch, and check
+# that a filter matching no experiment is an error (exit 2), not an empty
+# report.
+timeout 300 ./target/release/reproduce_all \
+  --filter table --no-cache --jobs 2 --out-dir target/repro_smoke >/dev/null
+echo "repro-smoke: reproduce_all --filter table ran"
+rc=0
+./target/release/reproduce_all --filter no_such_experiment \
+  --out-dir target/repro_smoke 2>/dev/null || rc=$?
+if (( rc != 2 )); then
+  echo "repro-smoke: --filter no_such_experiment exited $rc, expected 2" >&2
+  exit 1
+fi
+echo "repro-smoke: a filter matching no experiment exits 2"

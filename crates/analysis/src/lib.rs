@@ -1,17 +1,22 @@
-//! # dirtree-analysis — analytic models and the experiment harness
+//! # dirtree-analysis — analytic models and run helpers
 //!
-//! Everything needed to regenerate the paper's tables and figures:
+//! The closed-form side of the paper's tables, plus the record→replay
+//! helpers for running one workload by hand:
 //!
 //! * [`formulas`] — Table 1 message-count models and the §2 directory
 //!   memory-requirement formulas;
 //! * [`tree_capacity`] — the Table 3 recurrences and the Table 4
 //!   insertion replay for Dir<sub>i</sub>Tree₂ forests;
-//! * [`experiments`] — machine construction, workload runs, and the
-//!   normalized-execution-time grids of Figures 8–11;
-//! * [`tables`] — aligned ASCII table rendering for the bench binaries.
+//! * [`experiments`] — record a workload once and replay it on a
+//!   machine ([`experiments::run_workload`] does both);
+//! * [`tables`] — aligned ASCII table rendering for the experiment
+//!   reports.
+//!
+//! The experiment grids themselves (Figures 8–11 and every other
+//! table, figure and ablation) live in `dirtree-bench`, which runs them
+//! through its parallel, cached sweep runner.
 
 pub mod experiments;
 pub mod formulas;
-pub mod report;
 pub mod tables;
 pub mod tree_capacity;

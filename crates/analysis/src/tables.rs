@@ -1,4 +1,4 @@
-//! Aligned ASCII tables for the experiment binaries.
+//! Aligned ASCII tables for the experiment reports.
 
 use std::fmt::Write as _;
 

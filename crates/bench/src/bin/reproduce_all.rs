@@ -9,26 +9,31 @@
 //! one — is caught, the remaining experiments still run, and the process
 //! exits non-zero with a final `FAILED: [...]` summary.
 //!
+//! `--filter NAME` runs only the experiments whose name contains `NAME`
+//! (e.g. `--filter fig10_floyd`, or `--filter table` for Tables 1/3/4);
+//! a filter matching none exits 2 before writing anything.
+//!
 //! Run: `cargo run --release -p dirtree-bench --bin reproduce_all
-//!       [-- --full] [--jobs N] [--no-cache] [--filter SUBSTR]`
+//!       [-- --full] [--jobs N] [--no-cache] [--filter NAME] [--out-dir PATH]`
 
-use dirtree_bench::experiments::registry;
+use dirtree_bench::experiments::registry_matching;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn main() {
     let (runner, cli) = dirtree_bench::runner_from_args();
+    let experiments = registry_matching(cli.filter.as_deref());
+    if experiments.is_empty() {
+        eprintln!(
+            "no experiment matches --filter {:?}",
+            cli.filter.as_deref().unwrap_or("")
+        );
+        std::process::exit(2);
+    }
     let mut report = String::new();
     let mut failed: Vec<&'static str> = Vec::new();
-    let mut ran = 0usize;
     let t0 = std::time::Instant::now();
-    for exp in registry() {
-        if let Some(f) = &cli.filter {
-            if !exp.name.contains(f.as_str()) {
-                continue;
-            }
-        }
-        ran += 1;
+    for exp in &experiments {
         eprintln!("==> {}", exp.name);
         let failures_before = runner.failures().len();
         let result = catch_unwind(AssertUnwindSafe(|| (exp.run)(&runner, cli.full)));
@@ -77,19 +82,13 @@ fn main() {
     println!("{report}");
     let (executed, cached) = runner.totals();
     eprintln!(
-        "{ran} experiments in {:.1?}: {executed} simulations run, {cached} served from cache \
+        "{} experiments in {:.1?}: {executed} simulations run, {cached} served from cache \
          ({} jobs); report written to {}",
+        experiments.len(),
         t0.elapsed(),
         runner.options().jobs,
         path.display()
     );
-    if ran == 0 {
-        eprintln!(
-            "no experiment matches --filter {:?}",
-            cli.filter.as_deref().unwrap_or("")
-        );
-        std::process::exit(2);
-    }
     if !failed.is_empty() {
         println!("FAILED: [{}]", failed.join(", "));
         std::process::exit(1);

@@ -2,18 +2,20 @@
 //! Figure-10 shapes (Dir_iTree_2 vs full-map vs Dir_4NB) pushed to
 //! P ∈ {64, 128, 256} on the single-channel network and to
 //! P ∈ {64, 512, 1024} on the virtual-channel machine (3 VCs, adaptive
-//! minimal e-cube), instrumented for *simulator* throughput rather than
-//! protocol ranking. Runs the sweeps twice — a timed pass as invoked
-//! (pass `--no-cache` for a true cold measurement) and a warm pass served
-//! from the result cache — and writes the wall-clock side to
-//! `<out-dir>/BENCH_sim_hotpath.json` (events/sec, cold vs warm seconds,
-//! per-config event counts and queue depths). The committed repo-root
-//! `BENCH_sim_hotpath.json` is a snapshot of this output plus the
-//! `reproduce_all` cold-run numbers (see EXPERIMENTS.md).
+//! minimal e-cube), with and without credit-bounded injection
+//! (`experiments::scale_up_grids`), instrumented for *simulator*
+//! throughput rather than protocol ranking. Runs the sweeps twice — a
+//! timed pass as invoked (pass `--no-cache` for a true cold measurement)
+//! and a warm pass served from the result cache — and writes the
+//! wall-clock side to `<out-dir>/BENCH_sim_hotpath.json` (events/sec, cold
+//! vs warm seconds, per-config event counts and queue depths). The
+//! committed repo-root `BENCH_sim_hotpath.json` is a snapshot of this
+//! output plus the `reproduce_all` cold-run numbers (see EXPERIMENTS.md).
 //!
 //! Run: `cargo run --release -p dirtree-bench --bin scale_up`
 //! CI:  `... --bin scale_up -- --filter P=64 --no-cache --out-dir target/perf_smoke`
 
+use dirtree_bench::experiments::{run_scale_up, scale_up_report};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -22,60 +24,33 @@ fn main() {
     let filter = cli.filter.as_deref();
 
     let t0 = Instant::now();
-    let (sizes, cells) = dirtree_bench::experiments::scale_up_cells(&runner, filter);
-    let (vc_sizes, vc_cells) = dirtree_bench::experiments::scale_up_vc_cells(&runner, filter);
-    let (cr_sizes, cr_cells) =
-        dirtree_bench::experiments::scale_up_vc_credited_cells(&runner, filter);
+    let runs = run_scale_up(&runner, filter);
     let cold = t0.elapsed().as_secs_f64();
-    assert!(
-        !(sizes.is_empty() && vc_sizes.is_empty()),
-        "--filter {:?} matches no scale-up size (base P=64/128/256, vc P=64/512/1024)",
-        filter.unwrap_or_default()
-    );
 
     // Warm pass: identical specs through a cache-reading runner.
     let mut warm_opts = cli.sweep_options();
     warm_opts.no_cache = false;
     let warm_runner = dirtree_bench::runner::Runner::new(warm_opts);
     let t1 = Instant::now();
-    let _ = dirtree_bench::experiments::scale_up_cells(&warm_runner, filter);
-    let _ = dirtree_bench::experiments::scale_up_vc_cells(&warm_runner, filter);
-    let _ = dirtree_bench::experiments::scale_up_vc_credited_cells(&warm_runner, filter);
+    let _ = run_scale_up(&warm_runner, filter);
     let warm = t1.elapsed().as_secs_f64();
 
-    if !sizes.is_empty() {
-        print!(
-            "{}",
-            dirtree_bench::experiments::scale_up_report(&sizes, &cells)
-        );
-    }
-    if !vc_sizes.is_empty() {
-        print!(
-            "{}",
-            dirtree_bench::experiments::scale_up_vc_report(&vc_sizes, &vc_cells)
-        );
-    }
-    if !cr_sizes.is_empty() {
-        print!(
-            "{}",
-            dirtree_bench::experiments::scale_up_vc_credited_report(&cr_sizes, &cr_cells)
-        );
-    }
+    print!("{}", scale_up_report(&runs));
 
-    // (cell, adaptive-routing?, credits) — the grid a cell came from
-    // fixes the routing mode and the injection credit bound, which the
-    // flat record does not carry.
-    let credits = dirtree_bench::experiments::VC_CREDITS;
-    let all: Vec<_> = cells
+    // The grid a cell came from fixes the routing mode and the injection
+    // credit bound, which the flat record does not carry.
+    let all: Vec<_> = runs
         .iter()
-        .map(|c| (c, false, 0))
-        .chain(vc_cells.iter().map(|c| (c, true, 0)))
-        .chain(cr_cells.iter().map(|c| (c, true, credits)))
+        .flat_map(|run| {
+            run.cells
+                .iter()
+                .map(move |c| (c, (run.grid.machine)(c.nodes).net))
+        })
         .collect();
-    let total_events: u64 = all.iter().map(|(c, ..)| c.record.events).sum();
+    let total_events: u64 = all.iter().map(|(c, _)| c.record.events).sum();
     let peak_depth: u64 = all
         .iter()
-        .map(|(c, ..)| c.record.peak_queue_depth)
+        .map(|(c, _)| c.record.peak_queue_depth)
         .max()
         .unwrap_or(0);
     let events_per_sec = if cold > 0.0 {
@@ -108,16 +83,18 @@ fn main() {
     let _ = writeln!(json, "  \"events_per_second_cold\": {events_per_sec:.0},");
     let _ = writeln!(json, "  \"peak_queue_depth\": {peak_depth},");
     let _ = writeln!(json, "  \"configs\": [");
-    for (i, (c, adaptive, vc_credits)) in all.iter().enumerate() {
+    for (i, (c, net)) in all.iter().enumerate() {
         let r = &c.record;
         let _ = writeln!(
             json,
-            "    {{\"protocol\": \"{}\", \"nodes\": {}, \"vcs\": {}, \"adaptive\": {adaptive}, \
-             \"vc_credits\": {vc_credits}, \
+            "    {{\"protocol\": \"{}\", \"nodes\": {}, \"vcs\": {}, \"adaptive\": {}, \
+             \"vc_credits\": {}, \
              \"cycles\": {}, \"events\": {}, \"peak_queue_depth\": {}}}{}",
             r.protocol,
             r.nodes,
             r.net_vcs,
+            net.adaptive,
+            net.vc_credits,
             r.cycles,
             r.events,
             r.peak_queue_depth,

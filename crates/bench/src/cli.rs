@@ -1,21 +1,30 @@
-//! Shared command-line parsing for the experiment binaries.
+//! Shared command-line parsing for the experiment binaries
+//! (`reproduce_all`, `scale_up`, `adaptive_ablation`, `scaling`).
 //!
 //! Every binary accepts the sweep-runner flags:
 //!
 //! - `--jobs N` — worker threads (default: available parallelism)
 //! - `--no-cache` — ignore cached results, re-simulate everything
-//! - `--out-dir PATH` — sweep output root (default `target/sweep`)
+//! - `--out-dir PATH` — sweep output root (default `target/sweep`):
+//!   records, cache, Chrome traces and figure CSVs all go under it
 //! - `--trace` — dump a Chrome-trace-format event timeline per config
 //!   under `<out-dir>/trace/` (forces re-simulation; cached records
 //!   carry no timeline)
 //! - `--full` — the paper's exact workload sizes instead of scaled-down
-//! - `--filter SUBSTR` — `reproduce_all` only: run the experiments whose
-//!   name contains the substring
+//! - `--filter PATTERN` — a substring, with one grammar per binary:
+//!   `reproduce_all` runs the experiments whose *name* contains it
+//!   (`--filter fig10_floyd`, `--filter table`); `scale_up` and
+//!   `adaptive_ablation` run the machine sizes whose `P=<nodes>` label
+//!   contains it (`--filter P=64`); `scaling` ignores it
 //!
-//! Flags may be written `--flag value` or `--flag=value`.
+//! Flags may be written `--flag value` or `--flag=value`. Anything else —
+//! an unknown flag or a positional argument — is a usage error (exit 64).
 
 use crate::runner::SweepOptions;
 use std::path::PathBuf;
+
+const FLAGS: &str =
+    "[--jobs N] [--no-cache] [--out-dir PATH] [--trace] [--full] [--filter PATTERN]";
 
 #[derive(Clone, Debug, Default)]
 pub struct Cli {
@@ -28,19 +37,26 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parse the process arguments. Unknown flags warn and are ignored so
-    /// older invocations keep working.
+    /// Parse the process arguments; on a usage error, print it with the
+    /// usage line and exit 64.
     pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        Self::from_args(args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: {program} {FLAGS}");
+            std::process::exit(64);
+        })
     }
 
-    pub fn from_args(args: impl Iterator<Item = String>) -> Self {
+    /// Parse `args`. An unknown flag or a positional argument is an
+    /// error; a bad `--jobs` value only warns and keeps the default.
+    pub fn from_args(args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut cli = Cli::default();
         let mut args = args.peekable();
         while let Some(arg) = args.next() {
             let (flag, inline) = match arg.split_once('=') {
                 Some((f, v)) => (f.to_string(), Some(v.to_string())),
-                None => (arg, None),
+                None => (arg.clone(), None),
             };
             match flag.as_str() {
                 "--jobs" => {
@@ -58,10 +74,11 @@ impl Cli {
                 "--out-dir" => {
                     cli.out_dir = take_value(&flag, inline.clone(), &mut args).map(PathBuf::from)
                 }
-                other => eprintln!("warning: ignoring unknown flag {other}"),
+                other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
+                _ => return Err(format!("unexpected argument {arg:?}")),
             }
         }
-        cli
+        Ok(cli)
     }
 
     /// The runner options implied by the parsed flags.
@@ -95,8 +112,12 @@ fn take_value(
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Cli {
+    fn try_parse(args: &[&str]) -> Result<Cli, String> {
         Cli::from_args(args.iter().map(|s| s.to_string()))
+    }
+
+    fn parse(args: &[&str]) -> Cli {
+        try_parse(args).expect("valid arguments")
     }
 
     #[test]
@@ -137,5 +158,20 @@ mod tests {
     fn bad_jobs_is_ignored_with_warning() {
         assert_eq!(parse(&["--jobs", "zero"]).jobs, None);
         assert_eq!(parse(&["--jobs", "0"]).jobs, None);
+    }
+
+    #[test]
+    fn unknown_flag_is_a_usage_error() {
+        let err = try_parse(&["--no-cache", "--fast"]).unwrap_err();
+        assert!(err.contains("--fast"), "{err}");
+        assert!(try_parse(&["--filter", "table", "--jobz=2"]).is_err());
+    }
+
+    #[test]
+    fn stray_positional_is_a_usage_error() {
+        // `reproduce_all fig8_mp3d` must not silently run every experiment.
+        let err = try_parse(&["fig8_mp3d"]).unwrap_err();
+        assert!(err.contains("fig8_mp3d"), "{err}");
+        assert!(try_parse(&["--jobs", "2", "extra"]).is_err());
     }
 }

@@ -1,10 +1,12 @@
 //! Every experiment of the reproduction as a library function.
 //!
 //! Each function builds its configurations, runs them through the shared
-//! sweep [`Runner`] (parallel + cached), and returns the report text. The
-//! binaries in `src/bin/` are thin wrappers; `reproduce_all` iterates the
-//! [`registry`] in-process so a panic in one experiment is caught,
+//! sweep [`Runner`] (parallel + cached), and returns the report text.
+//! `reproduce_all` iterates the [`registry`] in-process (`--filter NAME`
+//! picks experiments by name), so a panic in one experiment is caught,
 //! reported in the final `FAILED:` summary, and does not stop the rest.
+//! The opt-in studies outside the registry — [`scale_up`],
+//! [`adaptive_ablation`] and [`scaling`] — have a binary each.
 //!
 //! Analytic experiments (Tables 3/4, tree shapes, memory overhead) and
 //! the controlled-sharing-degree measurements (Table 1, the latency
@@ -110,6 +112,15 @@ pub fn registry() -> Vec<Experiment> {
     ]
 }
 
+/// The [`registry`] experiments whose name contains `filter` (all of
+/// them without one), in report order.
+pub fn registry_matching(filter: Option<&str>) -> Vec<Experiment> {
+    registry()
+        .into_iter()
+        .filter(|e| filter.is_none_or(|f| e.name.contains(f)))
+        .collect()
+}
+
 // ---------------------------------------------------------------------
 // Figures 8–11 (normalized execution time grids)
 // ---------------------------------------------------------------------
@@ -161,19 +172,6 @@ pub fn fig11_fft(runner: &Runner, full: bool) -> String {
         WorkloadKind::Fft { points: 512 }
     };
     run_figure(runner, "Figure 11", w)
-}
-
-/// All four figure grids back to back (the `all_figures` binary).
-pub fn all_figures(runner: &Runner, full: bool) -> String {
-    let mut out = String::new();
-    out.push_str(&fig8_mp3d(runner, full));
-    out.push('\n');
-    out.push_str(&fig9_lu(runner, full));
-    out.push('\n');
-    out.push_str(&fig10_floyd(runner));
-    out.push('\n');
-    out.push_str(&fig11_fft(runner, full));
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -747,16 +745,16 @@ pub fn scaling(runner: &Runner) -> String {
     out
 }
 
-/// The machine sizes of the [`scale_up`] study.
+/// The machine sizes of the single-channel scale-up grid.
 pub const SCALE_UP_SIZES: [u32; 3] = [64, 128, 256];
 
-/// The machine sizes of the [`scale_up_vc`] study: the shared P=64
-/// anchor (for a direct single-channel vs VC comparison and the CI
+/// The machine sizes of the virtual-channel scale-up grids: the shared
+/// P=64 anchor (for a direct single-channel vs VC comparison and the CI
 /// golden slice) plus the sizes only the VC network reaches safely.
 pub const SCALE_UP_VC_SIZES: [u32; 3] = [64, 512, 1024];
 
-/// Protocols shared by both scale-up grids (the paper's Figure-10
-/// shapes: full-map vs Dir_iTree_2 vs Dir_4NB).
+/// Protocols of every scale-up grid (the paper's Figure-10 shapes:
+/// full-map vs Dir_iTree_2 vs Dir_4NB).
 const SCALE_UP_PROTOCOLS: [ProtocolKind; 4] = [
     ProtocolKind::FullMap,
     ProtocolKind::DirTree {
@@ -779,125 +777,6 @@ pub fn vc_default(nodes: u32) -> MachineConfig {
     m
 }
 
-fn scale_up_sizes(all: &[u32], filter: Option<&str>) -> Vec<u32> {
-    all.iter()
-        .copied()
-        .filter(|p| filter.is_none_or(|f| format!("P={p}").contains(f)))
-        .collect()
-}
-
-/// Configurations of the [`scale_up`] hot-path study, optionally
-/// restricted by a `--filter` substring matched against `P=<nodes>`
-/// (so `--filter P=64` runs only the 64-processor group). Returns the
-/// sizes kept and the grid cells; a filter matching none of this grid's
-/// sizes (e.g. `P=512`, which only the VC grid has) returns empty.
-pub fn scale_up_cells(runner: &Runner, filter: Option<&str>) -> (Vec<u32>, Vec<RecordCell>) {
-    let sizes = scale_up_sizes(&SCALE_UP_SIZES, filter);
-    if sizes.is_empty() {
-        return (sizes, Vec::new());
-    }
-    let w = WorkloadKind::Floyd {
-        vertices: 64,
-        seed: 1996,
-    };
-    let cells = record_grid(
-        runner,
-        "scale_up",
-        w,
-        &sizes,
-        &SCALE_UP_PROTOCOLS,
-        MachineConfig::paper_default,
-    );
-    (sizes, cells)
-}
-
-/// The virtual-channel companion grid of [`scale_up`]: the same
-/// protocols and workload on the [`vc_default`] machine at
-/// P ∈ {64, 512, 1024}. Filter grammar matches [`scale_up_cells`].
-pub fn scale_up_vc_cells(runner: &Runner, filter: Option<&str>) -> (Vec<u32>, Vec<RecordCell>) {
-    let sizes = scale_up_sizes(&SCALE_UP_VC_SIZES, filter);
-    if sizes.is_empty() {
-        return (sizes, Vec::new());
-    }
-    let w = WorkloadKind::Floyd {
-        vertices: 64,
-        seed: 1996,
-    };
-    let cells = record_grid(
-        runner,
-        "scale_up_vc",
-        w,
-        &sizes,
-        &SCALE_UP_PROTOCOLS,
-        vc_default,
-    );
-    (sizes, cells)
-}
-
-/// Render one scale-up grid: normalized execution time plus the
-/// simulator-throughput columns (`events`, `peak queue depth`) the
-/// hot-path benchmark reads, and the network-wait split.
-pub fn scale_up_grid_report(title: &str, sizes: &[u32], cells: &[RecordCell]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    let mut t = AsciiTable::new(&[
-        "procs",
-        "protocol",
-        "cycles",
-        "norm",
-        "events",
-        "peak queue",
-        "msgs",
-        "inject wait",
-        "link wait",
-    ]);
-    for &nodes in sizes {
-        for c in cells.iter().filter(|c| c.nodes == nodes) {
-            let r = &c.record;
-            t.row(&[
-                nodes.to_string(),
-                r.protocol.clone(),
-                r.cycles.to_string(),
-                format!("{:.3}", c.normalized),
-                r.events.to_string(),
-                r.peak_queue_depth.to_string(),
-                r.messages.to_string(),
-                r.net_inject_wait_cycles.to_string(),
-                r.net_link_wait_cycles.to_string(),
-            ]);
-        }
-    }
-    let _ = writeln!(out, "{}", t.render());
-    out
-}
-
-/// Render the single-channel [`scale_up`] grid (kept as a named entry
-/// point for the `scale_up` binary and its golden slice).
-pub fn scale_up_report(sizes: &[u32], cells: &[RecordCell]) -> String {
-    let mut out = scale_up_grid_report(
-        "Hot-path scaling study (Floyd-Warshall 64v, normalized to full-map):",
-        sizes,
-        cells,
-    );
-    let _ = writeln!(
-        out,
-        "Per-size full-map baselines; `events` and `peak queue` are\n\
-         deterministic simulator-throughput denominators (see\n\
-         BENCH_sim_hotpath.json for the wall-clock side)."
-    );
-    out
-}
-
-/// Render the [`scale_up_vc`] grid.
-pub fn scale_up_vc_report(sizes: &[u32], cells: &[RecordCell]) -> String {
-    scale_up_grid_report(
-        "VC scaling study (3 virtual channels, adaptive e-cube; \
-         Floyd-Warshall 64v, normalized to full-map):",
-        sizes,
-        cells,
-    )
-}
-
 /// The [`vc_default`] machine with credit-bounded injection: each
 /// controller may hold at most this many unacknowledged *flits* per
 /// (destination-VC) pool before further sends park. Models finite output
@@ -914,71 +793,144 @@ pub fn vc_credited(nodes: u32) -> MachineConfig {
     m
 }
 
-/// The credit-bounded companion of [`scale_up_vc_cells`]: the same
-/// protocols, workload, and sizes on the [`vc_credited`] machine, so the
-/// report can show what finite buffering costs next to the idealized VC
-/// column. Filter grammar matches [`scale_up_cells`].
-pub fn scale_up_vc_credited_cells(
-    runner: &Runner,
-    filter: Option<&str>,
-) -> (Vec<u32>, Vec<RecordCell>) {
-    let sizes = scale_up_sizes(&SCALE_UP_VC_SIZES, filter);
-    if sizes.is_empty() {
-        return (sizes, Vec::new());
-    }
+/// One grid of the [`scale_up`] study: Floyd-Warshall 64v on
+/// [`SCALE_UP_PROTOCOLS`] at `sizes`, on the machine `machine` builds.
+/// `spec` names the sweep and so its `<spec>.jsonl`.
+#[derive(Clone, Debug)]
+pub struct ScaleUpGrid {
+    pub spec: &'static str,
+    pub sizes: [u32; 3],
+    pub machine: fn(u32) -> MachineConfig,
+    pub title: String,
+}
+
+/// The three scale-up grids, in report order: single-channel to P=256,
+/// then the [`vc_default`] and [`vc_credited`] machines to P=1024.
+pub fn scale_up_grids() -> [ScaleUpGrid; 3] {
+    const FLOYD: &str = "Floyd-Warshall 64v, normalized to full-map";
+    [
+        ScaleUpGrid {
+            spec: "scale_up",
+            sizes: SCALE_UP_SIZES,
+            machine: MachineConfig::paper_default,
+            title: format!("Hot-path scaling study ({FLOYD}):"),
+        },
+        ScaleUpGrid {
+            spec: "scale_up_vc",
+            sizes: SCALE_UP_VC_SIZES,
+            machine: vc_default,
+            title: format!("VC scaling study (3 virtual channels, adaptive e-cube; {FLOYD}):"),
+        },
+        ScaleUpGrid {
+            spec: "scale_up_vc_credited",
+            sizes: SCALE_UP_VC_SIZES,
+            machine: vc_credited,
+            title: format!(
+                "Credit-bounded VC scaling study ({VC_CREDITS} credits per pool, \
+                 3 virtual channels, adaptive e-cube; {FLOYD}):"
+            ),
+        },
+    ]
+}
+
+fn scale_up_sizes(all: &[u32], filter: Option<&str>) -> Vec<u32> {
+    all.iter()
+        .copied()
+        .filter(|p| filter.is_none_or(|f| format!("P={p}").contains(f)))
+        .collect()
+}
+
+/// One scale-up grid as run: the cells of the sizes its filter kept.
+pub struct ScaleUpRun {
+    pub grid: ScaleUpGrid,
+    pub cells: Vec<RecordCell>,
+}
+
+/// Run every [`scale_up_grids`] grid, optionally restricted by a
+/// `--filter` substring matched against `P=<nodes>` (so `--filter P=64`
+/// runs only the 64-processor group of each grid). A grid none of whose
+/// sizes match is skipped; a filter matching no grid at all panics.
+pub fn run_scale_up(runner: &Runner, filter: Option<&str>) -> Vec<ScaleUpRun> {
     let w = WorkloadKind::Floyd {
         vertices: 64,
         seed: 1996,
     };
-    let cells = record_grid(
-        runner,
-        "scale_up_vc_credited",
-        w,
-        &sizes,
-        &SCALE_UP_PROTOCOLS,
-        vc_credited,
-    );
-    (sizes, cells)
-}
-
-/// Render the [`scale_up_vc_credited`] grid.
-pub fn scale_up_vc_credited_report(sizes: &[u32], cells: &[RecordCell]) -> String {
-    scale_up_grid_report(
-        &format!(
-            "Credit-bounded VC scaling study ({VC_CREDITS} credits per pool, \
-             3 virtual channels, adaptive e-cube; Floyd-Warshall 64v, \
-             normalized to full-map):"
-        ),
-        sizes,
-        cells,
-    )
-}
-
-/// **Beyond the paper (ours)** — the hot-path scaling study:
-/// single-channel at P ∈ {64, 128, 256} and the virtual-channel machine
-/// at P ∈ {64, 512, 1024}. Not in [`registry`] (like [`scaling`], it is
-/// an explicit opt-in via the `scale_up` binary; CI's perf-smoke step
-/// runs the `--filter P=64` slice of both grids).
-pub fn scale_up(runner: &Runner, filter: Option<&str>) -> String {
-    let (sizes, cells) = scale_up_cells(runner, filter);
-    let (vc_sizes, vc_cells) = scale_up_vc_cells(runner, filter);
-    let (cr_sizes, cr_cells) = scale_up_vc_credited_cells(runner, filter);
+    let runs: Vec<ScaleUpRun> = scale_up_grids()
+        .into_iter()
+        .filter_map(|grid| {
+            let sizes = scale_up_sizes(&grid.sizes, filter);
+            if sizes.is_empty() {
+                return None;
+            }
+            let cells = record_grid(
+                runner,
+                grid.spec,
+                w,
+                &sizes,
+                &SCALE_UP_PROTOCOLS,
+                grid.machine,
+            );
+            Some(ScaleUpRun { grid, cells })
+        })
+        .collect();
     assert!(
-        !(sizes.is_empty() && vc_sizes.is_empty()),
+        !runs.is_empty(),
         "--filter {:?} matches no scale-up size (base P=64/128/256, vc P=64/512/1024)",
         filter.unwrap_or_default()
     );
+    runs
+}
+
+/// Render the scale-up grids: normalized execution time plus the
+/// simulator-throughput columns (`events`, `peak queue depth`) the
+/// hot-path benchmark reads, and the network-wait split.
+pub fn scale_up_report(runs: &[ScaleUpRun]) -> String {
     let mut out = String::new();
-    if !sizes.is_empty() {
-        out.push_str(&scale_up_report(&sizes, &cells));
+    for run in runs {
+        let _ = writeln!(out, "{}", run.grid.title);
+        let mut t = AsciiTable::new(&[
+            "procs",
+            "protocol",
+            "cycles",
+            "norm",
+            "events",
+            "peak queue",
+            "msgs",
+            "inject wait",
+            "link wait",
+        ]);
+        for c in &run.cells {
+            let r = &c.record;
+            t.row(&[
+                c.nodes.to_string(),
+                r.protocol.clone(),
+                r.cycles.to_string(),
+                format!("{:.3}", c.normalized),
+                r.events.to_string(),
+                r.peak_queue_depth.to_string(),
+                r.messages.to_string(),
+                r.net_inject_wait_cycles.to_string(),
+                r.net_link_wait_cycles.to_string(),
+            ]);
+        }
+        let _ = writeln!(out, "{}", t.render());
     }
-    if !vc_sizes.is_empty() {
-        out.push_str(&scale_up_vc_report(&vc_sizes, &vc_cells));
-    }
-    if !cr_sizes.is_empty() {
-        out.push_str(&scale_up_vc_credited_report(&cr_sizes, &cr_cells));
-    }
+    let _ = writeln!(
+        out,
+        "Per-size full-map baselines; `events` and `peak queue` are\n\
+         deterministic simulator-throughput denominators (see\n\
+         BENCH_sim_hotpath.json for the wall-clock side)."
+    );
     out
+}
+
+/// **Beyond the paper (ours)** — the hot-path scaling study:
+/// single-channel at P ∈ {64, 128, 256} and the virtual-channel machines
+/// at P ∈ {64, 512, 1024}. Not in [`registry`] (like [`scaling`], it is
+/// an explicit opt-in via the `scale_up` binary; CI's perf-smoke step
+/// runs the `--filter P=64` slice of every grid).
+pub fn scale_up(runner: &Runner, filter: Option<&str>) -> String {
+    scale_up_report(&run_scale_up(runner, filter))
 }
 
 /// **Sensitivity study (ours)** — how the Figure-10 protocol ranking
@@ -1389,7 +1341,7 @@ pub struct AdaptiveCell {
 
 /// Run the adaptive ablation grid: every pattern workload × write policy
 /// × machine size, optionally restricted by a `--filter` substring over
-/// `P=<nodes>` (grammar matches [`scale_up_cells`]). One spec named
+/// `P=<nodes>` (grammar matches [`run_scale_up`]). One spec named
 /// `adaptive_ablation`, so the runner writes a single byte-deterministic
 /// `adaptive_ablation.jsonl` the CI golden compares against.
 pub fn adaptive_ablation_cells(
@@ -1609,6 +1561,17 @@ mod tests {
     }
 
     #[test]
+    fn registry_filter_is_a_name_substring() {
+        let names = |f| -> Vec<&str> { registry_matching(f).iter().map(|e| e.name).collect() };
+        assert_eq!(names(None).len(), registry().len());
+        assert_eq!(names(Some("table")), ["table1", "table3", "table4"]);
+        assert_eq!(names(Some("fig10_floyd")), ["fig10_floyd"]);
+        assert!(names(Some("no_such_experiment")).is_empty());
+        // The opt-in studies are binaries of their own, not registry names.
+        assert!(names(Some("scale_up")).is_empty());
+    }
+
+    #[test]
     fn scale_up_filter_selects_size_groups() {
         // Pure config-side check (no simulation): the filter grammar the
         // CI perf-smoke step relies on, over both grids.
@@ -1651,9 +1614,14 @@ mod tests {
         assert_eq!(m.nodes, vc.nodes);
         assert_eq!(m.mem_latency, vc.mem_latency);
         assert_eq!(m.net.switch_delay, vc.net.switch_delay);
-        // Distinct fingerprints, so the sweep cache and the golden files
-        // can never confuse the credited and idealized grids.
-        assert_ne!(m.fingerprint(), vc.fingerprint());
+        // Distinct config identities, so the sweep cache and the golden
+        // files can never confuse the credited and idealized grids.
+        let w = WorkloadKind::Floyd {
+            vertices: 64,
+            seed: 1996,
+        };
+        let key = |m| SweepConfig::new(m, ProtocolKind::FullMap, w).config_hash();
+        assert_ne!(key(m), key(vc));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Record-based figure grids on top of the sweep runner.
 //!
 //! The Figures 8–11 presentation (protocols × machine sizes, execution
-//! time normalized to full-map per size) used to be rebuilt as a
-//! sequential loop in every binary; it is now one [`record_grid`] call
-//! that the parallel, cached [`Runner`] serves.
+//! time normalized to full-map per size) is one [`record_grid`] call
+//! that the parallel, cached [`Runner`] serves; [`render_record_grid`]
+//! prints it as the paper does and [`records_to_csv`] writes its
+//! machine-readable companion.
 
 use crate::runner::Runner;
 use crate::sweep::{RunRecord, SweepConfig, SweepSpec};
@@ -38,19 +39,12 @@ pub fn record_grid(
     protocols: &[ProtocolKind],
     configure: impl Fn(u32) -> MachineConfig,
 ) -> Vec<RecordCell> {
-    let mut spec = SweepSpec::new(spec_name);
-    for &nodes in node_counts {
-        if !protocols.contains(&ProtocolKind::FullMap) {
-            spec.push(SweepConfig::new(
-                configure(nodes),
-                ProtocolKind::FullMap,
-                workload,
-            ));
-        }
-        for &protocol in protocols {
-            spec.push(SweepConfig::new(configure(nodes), protocol, workload));
-        }
+    let mut simulated = Vec::with_capacity(protocols.len() + 1);
+    if !protocols.contains(&ProtocolKind::FullMap) {
+        simulated.push(ProtocolKind::FullMap);
     }
+    simulated.extend_from_slice(protocols);
+    let spec = SweepSpec::grid(spec_name, workload, node_counts, &simulated, &configure);
     let outcome = runner.run(&spec);
     let by_key: FxHashMap<&str, &RunRecord> = outcome
         .records
@@ -113,8 +107,17 @@ pub fn render_record_grid(title: &str, cells: &[RecordCell], node_counts: &[u32]
     format!("{title}\n{}", t.render())
 }
 
-/// Machine-readable companion CSV (same columns as the pre-runner
-/// `grid_to_csv`, fed from records).
+/// Escape one CSV field (quotes fields containing separators).
+fn field(s: &str) -> String {
+    if s.contains([',', '"', '\n']) {
+        format!("\"{}\"", s.replace('"', "\"\""))
+    } else {
+        s.to_string()
+    }
+}
+
+/// Machine-readable companion CSV: one row per (protocol, node count)
+/// cell with the headline metrics.
 pub fn records_to_csv(cells: &[RecordCell]) -> String {
     let mut out = String::from(
         "protocol,figure_label,nodes,cycles,normalized,messages,fill_acks,\
@@ -127,8 +130,8 @@ pub fn records_to_csv(cells: &[RecordCell]) -> String {
         let _ = writeln!(
             out,
             "{},{},{},{},{:.6},{},{},{},{},{},{},{:.3},{:.3},{},{}",
-            r.protocol,
-            c.protocol.figure_label(),
+            field(&r.protocol),
+            field(&c.protocol.figure_label()),
             r.nodes,
             r.cycles,
             c.normalized,
@@ -149,17 +152,16 @@ pub fn records_to_csv(cells: &[RecordCell]) -> String {
 
 /// Run one figure: the workload across the paper's nine protocol
 /// configurations and three machine sizes. Returns the report text
-/// (normalized grid + companion stats) and writes the CSV companion
-/// under `target/figures/`.
+/// (normalized grid + companion stats) and writes the CSV companion to
+/// `<out-dir>/figures/<slug>.csv`.
 pub fn run_figure(runner: &Runner, title: &str, workload: WorkloadKind) -> String {
     let protocols: Vec<ProtocolKind> = ProtocolKind::figure_set();
     let slug = workload.name().replace(['(', ')', ',', 'x'], "_");
     eprintln!(
-        "running {} × {} machine sizes of {} (config fingerprint {:#x}) ...",
+        "running {} × {} machine sizes of {} ...",
         protocols.len(),
         PAPER_SIZES.len(),
         workload.name(),
-        MachineConfig::paper_default(8).fingerprint(),
     );
     let t0 = std::time::Instant::now();
     let cells = record_grid(
@@ -177,8 +179,8 @@ pub fn run_figure(runner: &Runner, title: &str, workload: WorkloadKind) -> Strin
     );
     report.push('\n');
     // Machine-readable companion (for external plotting).
-    let csv_dir = std::path::Path::new("target/figures");
-    let _ = std::fs::create_dir_all(csv_dir);
+    let csv_dir = runner.options().out_dir.join("figures");
+    let _ = std::fs::create_dir_all(&csv_dir);
     let csv_path = csv_dir.join(format!("{slug}.csv"));
     if std::fs::write(&csv_path, records_to_csv(&cells)).is_ok() {
         eprintln!("wrote {}", csv_path.display());
@@ -203,4 +205,148 @@ pub fn run_figure(runner: &Runner, title: &str, workload: WorkloadKind) -> Strin
     }
     eprintln!("done in {:.1?}", t0.elapsed());
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runner::SweepOptions;
+    use std::path::PathBuf;
+
+    /// A fresh runner that always simulates, writing under a scratch dir.
+    fn runner_in(tag: &str) -> (Runner, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("dirtree-figures-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let runner = Runner::new(SweepOptions {
+            jobs: 2,
+            no_cache: true,
+            out_dir: dir.clone(),
+            ..SweepOptions::default()
+        });
+        (runner, dir)
+    }
+
+    fn grid(tag: &str, workload: WorkloadKind, protocols: &[ProtocolKind]) -> Vec<RecordCell> {
+        let (runner, dir) = runner_in(tag);
+        let cells = record_grid(
+            &runner,
+            tag,
+            workload,
+            &[4],
+            protocols,
+            MachineConfig::test_default,
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        cells
+    }
+
+    const DIR2TREE2: ProtocolKind = ProtocolKind::DirTree {
+        pointers: 2,
+        arity: 2,
+    };
+
+    #[test]
+    fn grid_normalizes_to_full_map() {
+        let cells = grid(
+            "normalize",
+            WorkloadKind::Floyd {
+                vertices: 8,
+                seed: 3,
+            },
+            &[ProtocolKind::FullMap, DIR2TREE2],
+        );
+        assert_eq!(cells.len(), 2);
+        let fm = &cells[0];
+        assert_eq!(fm.protocol, ProtocolKind::FullMap);
+        assert!((fm.normalized - 1.0).abs() < 1e-12);
+        assert!(cells[1].normalized > 0.0);
+    }
+
+    #[test]
+    fn grid_runs_full_map_as_the_baseline_when_not_asked_for() {
+        let (runner, dir) = runner_in("baseline");
+        let w = WorkloadKind::Floyd {
+            vertices: 8,
+            seed: 3,
+        };
+        let cells = record_grid(
+            &runner,
+            "b",
+            w,
+            &[4],
+            &[DIR2TREE2],
+            MachineConfig::test_default,
+        );
+        let jsonl = std::fs::read_to_string(dir.join("b.jsonl")).expect("spec JSONL");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].protocol, DIR2TREE2);
+        // Full-map runs first at each size, ahead of the asked-for protocols.
+        let protocols: Vec<String> = jsonl
+            .lines()
+            .map(|l| RunRecord::from_json(l).expect("record").protocol)
+            .collect();
+        assert_eq!(protocols, ["FullMap", "Dir2Tree2"]);
+    }
+
+    #[test]
+    fn render_contains_all_protocols() {
+        let cells = grid(
+            "render",
+            WorkloadKind::Sharing {
+                blocks: 2,
+                rounds: 2,
+            },
+            &[
+                ProtocolKind::FullMap,
+                ProtocolKind::LimitedNB { pointers: 1 },
+            ],
+        );
+        let s = render_record_grid("demo", &cells, &[4]);
+        assert!(s.contains("FullMap"));
+        assert!(s.contains("Dir1NB"));
+        assert!(s.contains("4 procs"));
+    }
+
+    #[test]
+    fn deterministic_across_grid_invocations() {
+        let go = |tag: &str| {
+            grid(
+                tag,
+                WorkloadKind::Migratory {
+                    blocks: 2,
+                    rounds: 4,
+                },
+                &[ProtocolKind::FullMap],
+            )[0]
+            .record
+            .cycles
+        };
+        assert_eq!(go("determinism-a"), go("determinism-b"));
+    }
+
+    #[test]
+    fn csv_has_header_and_one_row_per_cell() {
+        let cells = grid(
+            "csv",
+            WorkloadKind::Migratory {
+                blocks: 2,
+                rounds: 3,
+            },
+            &[ProtocolKind::FullMap, DIR2TREE2],
+        );
+        let csv = records_to_csv(&cells);
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines.len(), 1 + cells.len());
+        assert!(lines[0].starts_with("protocol,figure_label,nodes,cycles"));
+        assert!(lines[1].starts_with("FullMap,fm,4,"));
+    }
+
+    #[test]
+    fn fields_with_commas_are_quoted() {
+        assert_eq!(field("a,b"), "\"a,b\"");
+        assert_eq!(field("plain"), "plain");
+        assert_eq!(field("say \"hi\""), "\"say \"\"hi\"\"\"");
+    }
 }

@@ -1,7 +1,10 @@
-//! # dirtree-bench — experiment binaries and criterion benchmarks
+//! # dirtree-bench — the experiment harness and criterion benchmarks
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §5 for the
-//! index). The library holds the whole experiment layer:
+//! Every table, figure and ablation of the reproduction runs through
+//! `reproduce_all` (`--filter NAME` picks experiments by name; see
+//! DESIGN.md §5 for the index). The three opt-in studies outside that
+//! registry have a binary each: `scale_up`, `adaptive_ablation` and
+//! `scaling`. The library holds the whole experiment layer:
 //!
 //! - [`sweep`] — configuration enumeration ([`sweep::SweepSpec`]) and the
 //!   JSON-lines [`sweep::RunRecord`] each simulation produces
@@ -11,7 +14,8 @@
 //!   returning its report text, plus the [`experiments::registry`] that
 //!   `reproduce_all` iterates
 //! - [`miss_cost`] — controlled-sharing-degree marginal measurements
-//! - [`cli`] — the shared `--jobs/--no-cache/--filter/--full` flags
+//! - [`cli`] — the shared `--jobs/--no-cache/--out-dir/--trace/--full/--filter`
+//!   flags
 
 pub mod cli;
 pub mod experiments;
@@ -19,13 +23,6 @@ pub mod figures;
 pub mod miss_cost;
 pub mod runner;
 pub mod sweep;
-
-/// Parse the common `--full` flag: experiment binaries default to scaled
-/// sizes that finish in seconds and use the paper's exact sizes with
-/// `--full`.
-pub fn full_scale() -> bool {
-    std::env::args().any(|a| a == "--full")
-}
 
 /// The runner every binary uses, configured from the process arguments.
 pub fn runner_from_args() -> (runner::Runner, cli::Cli) {

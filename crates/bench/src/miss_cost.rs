@@ -10,23 +10,28 @@
 
 use dirtree_core::protocol::ProtocolKind;
 use dirtree_core::types::Addr;
-use dirtree_machine::{DriverOp, Machine, MachineConfig, ScriptDriver};
+use dirtree_machine::{DriverOp, Machine, MachineConfig, RunOutcome, ScriptDriver};
 
 const BLOCK: Addr = 0;
 /// Generous stagger so every transaction fully quiesces before the next.
 const GAP: u64 = 50_000;
 
-fn run_messages(config: &MachineConfig, kind: ProtocolKind, readers: u32, write: bool) -> u64 {
+/// The scripted scenario on the paper's 32-node machine: nodes
+/// `1..=readers` read `BLOCK` one after another (node 0 is its home),
+/// then, if `write`, the last node writes it. Every step starts `GAP`
+/// cycles after the previous one.
+fn run_scenario(kind: ProtocolKind, readers: u32, write: bool) -> RunOutcome {
+    let config = MachineConfig::paper_default(32);
     let nodes = config.nodes;
     assert!(readers < nodes - 1, "need a spare node for the writer");
-    let mut active = Vec::new();
-    // Readers are nodes 1..=readers (node 0 is the home of BLOCK).
-    for k in 0..readers {
-        active.push((
-            k + 1,
-            vec![DriverOp::Work((k as u64 + 1) * GAP), DriverOp::Read(BLOCK)],
-        ));
-    }
+    let mut active: Vec<(u32, Vec<DriverOp>)> = (0..readers)
+        .map(|k| {
+            (
+                k + 1,
+                vec![DriverOp::Work((k as u64 + 1) * GAP), DriverOp::Read(BLOCK)],
+            )
+        })
+        .collect();
     if write {
         active.push((
             nodes - 1,
@@ -36,52 +41,31 @@ fn run_messages(config: &MachineConfig, kind: ProtocolKind, readers: u32, write:
             ],
         ));
     }
-    let mut machine = Machine::new(*config, kind);
     let mut driver = ScriptDriver::sparse(nodes, active);
-    let out = machine.run(&mut driver);
-    out.stats.critical_messages()
+    Machine::new(config, kind).run(&mut driver)
+}
+
+fn messages(kind: ProtocolKind, readers: u32, write: bool) -> u64 {
+    run_scenario(kind, readers, write).stats.critical_messages()
 }
 
 /// Messages for the `p`-th read miss (marginal cost with `p − 1` existing
 /// sharers).
 pub fn read_miss_cost(kind: ProtocolKind, p: u32) -> u64 {
-    let config = MachineConfig::paper_default(32);
     assert!(p >= 1);
-    let with = run_messages(&config, kind, p, false);
-    let without = run_messages(&config, kind, p - 1, false);
-    with - without
+    messages(kind, p, false) - messages(kind, p - 1, false)
 }
 
 /// Messages for a write miss invalidating `p` sharers (writer not among
 /// them).
 pub fn write_miss_cost(kind: ProtocolKind, p: u32) -> u64 {
-    let config = MachineConfig::paper_default(32);
-    let with = run_messages(&config, kind, p, true);
-    let without = run_messages(&config, kind, p, false);
-    with - without
+    messages(kind, p, true) - messages(kind, p, false)
 }
 
 /// Measured critical-path latency (cycles) of one write miss over `p`
 /// sharers on the 32-node machine.
 pub fn write_miss_latency_measured(kind: ProtocolKind, p: u32) -> f64 {
-    let config = MachineConfig::paper_default(32);
-    let nodes = config.nodes;
-    let mut active: Vec<(u32, Vec<DriverOp>)> = (0..p)
-        .map(|k| {
-            (
-                k + 1,
-                vec![DriverOp::Work((k as u64 + 1) * GAP), DriverOp::Read(BLOCK)],
-            )
-        })
-        .collect();
-    active.push((
-        nodes - 1,
-        vec![DriverOp::Work((p as u64 + 2) * GAP), DriverOp::Write(BLOCK)],
-    ));
-    let mut machine = Machine::new(config, kind);
-    let mut driver = ScriptDriver::sparse(nodes, active);
-    let out = machine.run(&mut driver);
-    out.stats.write_miss_latency.mean()
+    run_scenario(kind, p, true).stats.write_miss_latency.mean()
 }
 
 #[cfg(test)]

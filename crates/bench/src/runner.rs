@@ -200,18 +200,6 @@ impl Runner {
         outcome
     }
 
-    /// Run a single config, panicking on failure. For experiment code
-    /// whose result shape makes per-config failure handling pointless.
-    pub fn run_one(&self, config: &SweepConfig) -> RunRecord {
-        let mut spec = SweepSpec::new("adhoc");
-        spec.push(config.clone());
-        let mut out = self.run(&spec);
-        if let Some(f) = out.failures.first() {
-            panic!("config {} failed: {}", f.key, f.message);
-        }
-        out.records.remove(0)
-    }
-
     fn cache_dir(&self) -> PathBuf {
         self.opts.out_dir.join("cache")
     }

@@ -979,6 +979,53 @@ mod tests {
     }
 
     #[test]
+    fn config_key_is_stable_and_sensitive() {
+        let at = |machine: MachineConfig| SweepConfig {
+            machine,
+            ..sample_config()
+        };
+        let a = at(MachineConfig::paper_default(32));
+        assert_eq!(
+            a.config_hash(),
+            at(MachineConfig::paper_default(32)).config_hash()
+        );
+        assert_ne!(
+            a.config_hash(),
+            at(MachineConfig::paper_default(16)).config_hash()
+        );
+        // The fields a machine-only hash is easy to forget: topology, the
+        // local-delivery delay and the protocol ablation switches.
+        let base = MachineConfig::paper_default(32);
+        let mut torus = base;
+        torus.topology = TopologyKind::KaryNcube { radix: 4 };
+        let mut local = base;
+        local.net.local_delay += 1;
+        let mut flat = base;
+        flat.protocol.dir_tree_pairing = false;
+        let mut notify = base;
+        notify.protocol.dir_tree_silent_replace = false;
+        for m in [torus, local, flat, notify] {
+            assert_ne!(a.config_hash(), at(m).config_hash(), "{}", at(m).key());
+        }
+    }
+
+    #[test]
+    fn vc_fields_extend_config_key_only_when_nondefault() {
+        let a = sample_config();
+        let mut b = sample_config();
+        b.machine.net.vcs = 1; // explicit single channel == the pre-VC default
+        assert_eq!(a.config_hash(), b.config_hash());
+        b.machine.net.vcs = 3;
+        assert_ne!(a.config_hash(), b.config_hash());
+        let mut c = sample_config();
+        c.machine.net.adaptive = true;
+        assert_ne!(a.config_hash(), c.config_hash());
+        let mut d = sample_config();
+        d.machine.net.vc_credits = 1;
+        assert_ne!(a.config_hash(), d.config_hash());
+    }
+
+    #[test]
     fn seed_zero_is_identity_nonzero_salts_floyd() {
         let base = sample_config();
         assert_eq!(base.effective_workload(), base.workload);

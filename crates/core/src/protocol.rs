@@ -36,7 +36,7 @@ pub struct ProtocolParams {
 
 impl ProtocolParams {
     /// Do the adaptive-protocol fields differ from their defaults? Sweep
-    /// cache keys and config fingerprints only include them when they do,
+    /// config keys only include them when they do,
     /// so records written before the adaptive protocol existed keep their
     /// identity (same conditional-extension idiom as the VC fields).
     pub fn adapt_nondefault(&self) -> bool {

@@ -96,38 +96,6 @@ impl MachineConfig {
             ..Self::paper_default(nodes)
         }
     }
-
-    /// A short stable fingerprint of the configuration, printed by the
-    /// experiment binaries for reproducibility.
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = dirtree_sim::hash::FxHasher::default();
-        self.nodes.hash(&mut h);
-        self.cache.lines.hash(&mut h);
-        self.cache.associativity.hash(&mut h);
-        self.block_bytes.hash(&mut h);
-        self.header_bytes.hash(&mut h);
-        self.mem_latency.hash(&mut h);
-        self.cache_latency.hash(&mut h);
-        self.net.switch_delay.hash(&mut h);
-        self.net.link_width_bits.hash(&mut h);
-        self.net.contention.hash(&mut h);
-        self.sync_latency.hash(&mut h);
-        // Hashed only when non-default so every fingerprint printed before
-        // virtual channels existed is preserved verbatim.
-        if self.net.vc_nondefault() {
-            self.net.vcs.hash(&mut h);
-            self.net.adaptive.hash(&mut h);
-            self.net.vc_credits.hash(&mut h);
-        }
-        // Same idiom for the adaptive-protocol thresholds.
-        if self.protocol.adapt_nondefault() {
-            self.protocol.adapt_flip_up.hash(&mut h);
-            self.protocol.adapt_flip_down.hash(&mut h);
-            self.protocol.adapt_saturation.hash(&mut h);
-        }
-        h.finish()
-    }
 }
 
 #[cfg(test)]
@@ -152,30 +120,5 @@ mod tests {
         assert_eq!(t.num_nodes(), 16);
         assert_eq!(t.radix(), 4);
         assert_eq!(t.dimensions(), 2);
-    }
-
-    #[test]
-    fn fingerprint_is_stable_and_sensitive() {
-        let a = MachineConfig::paper_default(32);
-        let b = MachineConfig::paper_default(32);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let c = MachineConfig::paper_default(16);
-        assert_ne!(a.fingerprint(), c.fingerprint());
-    }
-
-    #[test]
-    fn vc_fields_extend_fingerprint_only_when_nondefault() {
-        let a = MachineConfig::paper_default(32);
-        let mut b = a;
-        b.net.vcs = 1; // explicit single channel == the pre-VC default
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        b.net.vcs = 3;
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        let mut c = a;
-        c.net.adaptive = true;
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        let mut d = a;
-        d.net.vc_credits = 1;
-        assert_ne!(a.fingerprint(), d.fingerprint());
     }
 }

@@ -90,8 +90,8 @@ impl NetworkConfig {
     }
 
     /// True when any virtual-channel feature departs from the classic
-    /// single-channel default (used to keep config keys/fingerprints stable
-    /// for pre-VC records).
+    /// single-channel default (used to keep sweep config keys stable for
+    /// pre-VC records).
     pub fn vc_nondefault(&self) -> bool {
         self.vc_count() > 1 || self.adaptive || self.vc_credits > 0
     }

@@ -16,7 +16,8 @@
 //!   lives in [`coherence::dir::dir_tree`]),
 //! * [`machine`] — the simulated multiprocessor,
 //! * [`workloads`] — the applications, their recorder and replay driver,
-//! * [`analysis`] — analytic models and the experiment harness.
+//! * [`analysis`] — analytic models and the record→replay run helpers
+//!   (the experiment harness is the `dirtree-bench` crate).
 //!
 //! ## Quickstart
 //!

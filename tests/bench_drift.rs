@@ -4,7 +4,9 @@
 //! each config's deterministic `cycles` and `events` beside its wall-clock
 //! readings. Its P=64 rows must equal the records of the three P=64
 //! goldens that CI regenerates byte-for-byte, so a code change that moves
-//! simulated time cannot leave a stale snapshot behind.
+//! simulated time cannot leave a stale snapshot behind. Likewise the P=16
+//! cells of the root `BENCH_adaptive.json` (written by
+//! `adaptive_ablation`) must equal `tests/golden/adaptive_p16.jsonl`.
 
 use dirtree_bench::sweep::json::{self, Value};
 use dirtree_bench::sweep::RunRecord;
@@ -61,4 +63,64 @@ fn bench_sim_hotpath_p64_rows_match_the_goldens() {
              drifted from {golden}; regenerate it with `scale_up --no-cache`"
         );
     }
+}
+
+#[test]
+fn bench_adaptive_p16_cells_match_the_golden() {
+    let bench = json::parse(&root("BENCH_adaptive.json")).expect("parse the BENCH file");
+    const COUNTS: [&str; 11] = [
+        "nodes",
+        "cycles",
+        "messages",
+        "bytes",
+        "mode_flips_to_update",
+        "mode_flips_to_invalidate",
+        "pattern_producer_consumer",
+        "pattern_read_mostly",
+        "pattern_migratory",
+        "pattern_write_shared",
+        "pattern_private",
+    ];
+    let bench_cells: Vec<(String, String, Vec<u64>)> = field(&bench, "cells")
+        .as_array()
+        .expect("cells array")
+        .iter()
+        .filter(|c| field(c, "nodes").as_u64() == Some(16))
+        .map(|c| {
+            (
+                field(c, "workload").as_str().unwrap().to_string(),
+                field(c, "protocol").as_str().unwrap().to_string(),
+                COUNTS
+                    .iter()
+                    .map(|n| field(c, n).as_u64().unwrap())
+                    .collect(),
+            )
+        })
+        .collect();
+    let golden_cells: Vec<(String, String, Vec<u64>)> = root("tests/golden/adaptive_p16.jsonl")
+        .lines()
+        .map(|line| {
+            let r = RunRecord::from_json(line).expect("parse golden record");
+            let counts = vec![
+                r.nodes as u64,
+                r.cycles,
+                r.messages,
+                r.bytes,
+                r.mode_flips_to_update,
+                r.mode_flips_to_invalidate,
+                r.pattern_producer_consumer,
+                r.pattern_read_mostly,
+                r.pattern_migratory,
+                r.pattern_write_shared,
+                r.pattern_private,
+            ];
+            (r.workload, r.protocol, counts)
+        })
+        .collect();
+    assert_eq!(golden_cells.len(), 12, "4 workloads x 3 write policies");
+    assert_eq!(
+        bench_cells, golden_cells,
+        "BENCH_adaptive.json P=16 cells drifted from tests/golden/adaptive_p16.jsonl; \
+         regenerate it with `adaptive_ablation --no-cache`"
+    );
 }
